@@ -21,20 +21,18 @@ from .engine import (
     EventKind,
     SimConfig,
     SimError,
-    SimEvent,
     World,
     deploy,
     inject_failure,
     run,
     simulate,
 )
-from .peas import PeasParams, matched_rate, peas_sample_sleep
+from .peas import matched_rate, peas_sample_sleep
 from .protocol import (
     NodeState,
     ProbeReply,
     ProbeRequest,
     ProtocolError,
-    ProtocolParams,
     SensorNode,
     scan_check,
 )
@@ -56,17 +54,14 @@ __all__ = [
     "MetricsRecord",
     "NodeState",
     "OverheadReport",
-    "PeasParams",
     "ProbeReply",
     "ProbeRequest",
     "ProtocolError",
-    "ProtocolParams",
     "RecoveryEvent",
     "RunResult",
     "SensorNode",
     "SimConfig",
     "SimError",
-    "SimEvent",
     "SummaryReport",
     "UNRECOVERED",
     "WeibullParams",

@@ -20,15 +20,18 @@ Config format (all keys optional; defaults are the standard 50 m x 50 m,
     [sweep]                    # one key: list of values, one run set per value
     n_nodes = 100, 200, 300, 400
 
+Every sweep point is validated before the first run. seed and protocol
+cannot be swept: use replications and protocol = both.
+
 Exit codes: 0 success, 1 config error, 2 runtime/IO error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import shutil
 import sys
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -43,16 +46,35 @@ from .engine import EnergyModel, SimConfig, simulate
 
 PROTOCOL_CHOICES = ("sentinel", "peas", "both")
 
-_SIM_FIELDS = {f.name: f.type for f in dataclasses.fields(SimConfig)}
-_ENERGY_FIELDS = {f.name: f.type for f in dataclasses.fields(EnergyModel)}
+_SIM_FIELDS = typing.get_type_hints(SimConfig)
+_ENERGY_FIELDS = typing.get_type_hints(EnergyModel)
+_FIELD_TYPES = {**_SIM_FIELDS, **_ENERGY_FIELDS}
 
-_BOOL_KEYS = {"collisions"}
-_INT_KEYS = {"n_nodes", "seed", "k_probes", "msg_size"}
-_OPTIONAL_FLOAT_KEYS = {"lambda_peas", "peas_probing_range"}
+_BOOL_KEYS = {k for k, t in _FIELD_TYPES.items() if t is bool}
+_INT_KEYS = {k for k, t in _FIELD_TYPES.items() if t is int}
+_OPTIONAL_FLOAT_KEYS = {k for k, t in _FIELD_TYPES.items() if t == float | None}
+
+# SimConfig fields a [sweep] cannot vary, with a hint where one helps.
+_UNSWEEPABLE = {
+    "energy": "",
+    "failure_injections": "",
+    "seed": "; use replications = N for seeds seed .. seed + N - 1",
+    "protocol": "; use protocol = both for paired sentinel/PEAS runs",
+}
 
 
 class ConfigError(ValueError):
     """Config file problem, annotated with the offending line number."""
+
+
+class SweepPointError(ValueError):
+    """A sweep point whose overrides make an invalid SimConfig."""
+
+
+def _sweep_key_problem(name: str) -> str | None:
+    if name not in _SIM_FIELDS or name in _UNSWEEPABLE:
+        return f"cannot sweep over {name!r}{_UNSWEEPABLE.get(name, '')}"
+    return None
 
 
 @dataclass
@@ -71,11 +93,19 @@ class ExperimentSpec:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         for name, values in self.sweep:
-            if name not in _SIM_FIELDS or name in ("energy", "failure_injections"):
-                raise ValueError(f"sweep parameter {name!r} is not a SimConfig field")
+            problem = _sweep_key_problem(name)
+            if problem:
+                raise ValueError(problem)
             if not values:
                 raise ValueError(f"sweep parameter {name!r} has no values")
-        self.base.validate()
+        if not self.sweep:
+            self.base.validate()
+            return
+        for point, overrides in _sweep_points(self):
+            try:
+                replace(self.base, **overrides).validate()
+            except ValueError as exc:
+                raise SweepPointError(f"sweep point {point!r}: {exc}") from exc
 
 
 def _parse_scalar(key: str, raw: str, lineno: int):
@@ -92,8 +122,6 @@ def _parse_scalar(key: str, raw: str, lineno: int):
             return int(raw)
         if key in _OPTIONAL_FLOAT_KEYS:
             return None if raw.lower() == "none" else float(raw)
-        if key == "protocol":
-            return raw
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
@@ -126,6 +154,7 @@ def parse_config(text: str) -> ExperimentSpec:
     spec = ExperimentSpec()
     sim_kwargs: dict = {}
     energy_kwargs: dict = {}
+    sweep_lines: list[int] = []
     section = ""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -144,12 +173,14 @@ def parse_config(text: str) -> ExperimentSpec:
                 raise ConfigError(f"line {lineno}: unknown energy key {key!r}")
             energy_kwargs[key] = _parse_scalar(key, raw, lineno)
         elif section == "sweep":
-            if key not in _SIM_FIELDS or key in ("energy", "failure_injections"):
-                raise ConfigError(f"line {lineno}: cannot sweep over {key!r}")
+            problem = _sweep_key_problem(key)
+            if problem:
+                raise ConfigError(f"line {lineno}: {problem}")
             values = [_parse_scalar(key, v, lineno) for v in raw.split(",") if v.strip()]
             if not values:
                 raise ConfigError(f"line {lineno}: sweep key {key!r} has no values")
             spec.sweep.append((key, values))
+            sweep_lines.append(lineno)
         else:  # top level / [simulation]
             if key == "replications":
                 try:
@@ -178,6 +209,9 @@ def parse_config(text: str) -> ExperimentSpec:
         spec.base.protocol = spec.protocol
     try:
         spec.validate()
+    except SweepPointError as exc:
+        where = "line" if len(sweep_lines) == 1 else "lines"
+        raise ConfigError(f"{where} {', '.join(map(str, sweep_lines))}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return spec
@@ -187,6 +221,10 @@ def load_config(path: Path) -> ExperimentSpec:
     return parse_config(path.read_text())
 
 
+def _point_label(value) -> str:
+    return "none" if value is None else f"{value:g}"
+
+
 def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, dict]]:
     """Expand the sweep into (point_name, field overrides) pairs."""
     if not spec.sweep:
@@ -194,10 +232,7 @@ def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, dict]]:
     points = [("", {})]
     for name, values in spec.sweep:
         points = [
-            (
-                f"{prefix}_{name}_{value:g}" if prefix else f"{name}_{value:g}",
-                {**overrides, name: value},
-            )
+            (f"{prefix}_{name}_{_point_label(value)}".lstrip("_"), {**overrides, name: value})
             for prefix, overrides in points
             for value in values
         ]

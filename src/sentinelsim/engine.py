@@ -12,21 +12,14 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 
 from . import peas as peas_policy
 from . import protocol as sentinel_policy
 from .analysis import CoverageGrid, MetricsRecord, RecoveryEvent, RunResult, coverage_fraction
-from .peas import PeasParams, matched_rate
-from .protocol import (
-    NodeState,
-    ProbeReply,
-    ProbeRequest,
-    ProtocolParams,
-    SensorNode,
-    change_state,
-)
+from .peas import matched_rate
+from .protocol import NodeState, ProbeRequest, SensorNode, change_state
 
 PROTOCOLS = ("sentinel", "peas")
 
@@ -42,14 +35,6 @@ class EventKind(IntEnum):
     METRICS_SAMPLE = 3
     FAILURE_INJECTION = 4
     END_OF_RUN = 5
-
-
-@dataclass(order=True)
-class SimEvent:
-    time: float
-    sequence: int
-    kind: EventKind = field(compare=False)
-    payload: object = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -69,6 +54,7 @@ class EnergyModel:
     initial_energy: float = 18_720.0
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.p_sleep < 0:
             raise ValueError(f"p_sleep must be >= 0, got {self.p_sleep}")
         if self.p_sleep >= self.p_probe_listen or self.p_sleep >= self.p_active:
@@ -104,6 +90,9 @@ class SimConfig:
     # radio's rx/tx turnaround plus CSMA backoff; simultaneous responders
     # therefore collide with realistic frequency.
     reply_jitter: float = 0.005    # s
+    # Activity ages within this band count as a tie and fall back to the id
+    # rule. Must exceed the message airtime, which inflates the local age
+    # relative to the age stamped into the reply.
     age_tie_margin: float = 0.01   # s, withdrawal tie band
     ts_initial: float = 10.0       # s, initial sleeps drawn uniform from (0, this]
     # Operational probe-rate clamps. Tighter than the bare math defaults: at
@@ -122,6 +111,7 @@ class SimConfig:
     failure_injections: list[tuple[int, float]] = field(default_factory=list)
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.field_width <= 0 or self.field_height <= 0:
             raise ValueError("field dimensions must be positive")
         if self.n_nodes < 0:
@@ -156,10 +146,15 @@ class SimConfig:
             raise ValueError("need 0 < lambda_min <= lambda_max")
         if self.reply_jitter < 0 or self.reply_jitter >= self.t_w:
             raise ValueError("reply_jitter must lie in [0, t_w)")
+        if self.age_tie_margin < 0:  # negative: both sides of a conflict withdraw
+            raise ValueError(f"age_tie_margin must be >= 0, got {self.age_tie_margin}")
         if self.ts_initial <= 0:
             raise ValueError(f"ts_initial must be positive, got {self.ts_initial}")
-        if self.metrics_interval <= 0:
-            raise ValueError(f"metrics_interval must be positive, got {self.metrics_interval}")
+        positive = ("metrics_interval", "coverage_resolution", "lambda_peas", "peas_probing_range")
+        for name in positive:  # None (lambda_peas, peas_probing_range) means derived
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         self.energy.validate()
         for node_id, when in self.failure_injections:
             if not 0 <= node_id < self.n_nodes:
@@ -174,34 +169,28 @@ class SimConfig:
     def airtime(self) -> float:
         return self.msg_size * 8.0 / self.bitrate
 
-    def protocol_params(self) -> ProtocolParams:
-        return ProtocolParams(
-            delta=self.delta,
-            t_w=self.t_w,
-            k_probes=self.k_probes,
-            ts_initial=self.ts_initial,
-            r_sense=self.r_sense,
-            r_comm=self.r_comm,
-            msg_size=self.msg_size,
-            beta=self.beta,
-            lambda_min=self.lambda_min,
-            lambda_max=self.lambda_max,
-            t_sleep_min=self.t_sleep_min,
-            t_sleep_max_scale=self.t_sleep_max_scale,
-            age_tie_margin=self.age_tie_margin,
-        )
+    @property
+    def peas_rate(self) -> float:
+        """PEAS wake rate: lambda_peas, or by default the rate matching the
+        sentinel policy's mean initial sleep."""
+        if self.lambda_peas is not None:
+            return self.lambda_peas
+        return matched_rate(self.lambda_init, self.beta)
 
-    def peas_params(self) -> PeasParams:
-        return PeasParams(
-            probing_range=(
-                self.peas_probing_range if self.peas_probing_range is not None else self.delta
-            ),
-            lambda_peas=(
-                self.lambda_peas
-                if self.lambda_peas is not None
-                else matched_rate(self.lambda_init, self.beta)
-            ),
-        )
+    @property
+    def peas_range(self) -> float:
+        """PEAS acceptance radius for replies: peas_probing_range, or delta."""
+        if self.peas_probing_range is not None:
+            return self.peas_probing_range
+        return self.delta
+
+
+def _require_finite(obj) -> None:
+    """Reject NaN and infinite values in any float field of a config dataclass."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 class Frame:
@@ -223,8 +212,10 @@ class World:
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self.params = config.protocol_params()
-        self.peas = config.peas_params()
+        # The policy module supplying the reply and withdrawal handlers. They
+        # are looked up on it at call time, so patching the module's
+        # functions after deploy takes effect.
+        self.policy = peas_policy if config.protocol == "peas" else sentinel_policy
         self.clock = 0.0
         self.rng = random.Random(config.seed)
         self.nodes: list[SensorNode] = []
@@ -240,13 +231,13 @@ class World:
         self.false_activation_ids: set[int] = set()
         self.activations: list[tuple[float, int]] = []
         self.conflict_ages: list[tuple[float, float]] = []
-        self._heap: list[SimEvent] = []
+        self._heap: list[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
         self._inflight: dict[int, list[Frame]] = {}
         self._radio_on: set[int] = set()
         self._active_ids: set[int] = set()
         self._conflicts: dict[tuple[int, int], float] = {}
-        self._holes: list[dict] = []
+        self._holes: list[RecoveryEvent] = []
         self._grid = CoverageGrid(
             config.field_width, config.field_height, config.coverage_resolution
         )
@@ -256,14 +247,6 @@ class World:
             NodeState.ACTIVE: config.energy.p_active,
             NodeState.DEAD: 0.0,
         }
-        if config.protocol == "peas":
-            self._reply_fn = peas_policy.on_probe_reply
-            self._withdraw_fn = peas_policy.on_withdrawal_check
-            self._policy_params = self.peas
-        else:
-            self._reply_fn = sentinel_policy.on_probe_reply
-            self._withdraw_fn = sentinel_policy.on_withdrawal_check
-            self._policy_params = self.params
         self._finished = False
 
     # -- event queue ---------------------------------------------------------
@@ -273,9 +256,8 @@ class World:
             raise SimError(
                 f"event {kind.name} scheduled at t={time} before clock {self.clock}"
             )
-        ev = SimEvent(time, self._seq, kind, payload)
+        heapq.heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
 
     # -- energy --------------------------------------------------------------
 
@@ -311,37 +293,34 @@ class World:
         state = node.state
         if state is NodeState.PROBING:
             self._radio_on.add(node.id)
-        elif state is NodeState.SLEEPING:
-            self._radio_on.discard(node.id)
-            if prev is NodeState.ACTIVE:
-                self._leave_active(node)
-            self.push(node.wake_deadline, EventKind.WAKE, node.id)
         elif state is NodeState.ACTIVE:
             self._enter_active(node, now)
-        elif state is NodeState.DEAD:
+        else:  # SLEEPING or DEAD
             self._radio_on.discard(node.id)
             if prev is NodeState.ACTIVE:
                 self._leave_active(node)
+            if state is NodeState.SLEEPING:
+                self.push(node.wake_deadline, EventKind.WAKE, node.id)
 
     def _enter_active(self, node: SensorNode, now: float) -> None:
         redundant = False
         for oid in self._active_ids:
             other = self.nodes[oid]
             d = math.hypot(node.x - other.x, node.y - other.y)
-            if d <= self.params.delta:
+            if d <= self.config.delta:
                 redundant = True
-            if d < self.params.delta:
+            if d < self.config.delta:
                 pair = (oid, node.id) if oid < node.id else (node.id, oid)
                 self._conflicts[pair] = now
         if redundant:
             self.false_activation_ids.add(node.id)
         self._active_ids.add(node.id)
         self.activations.append((now, node.id))
-        for hole in self._holes:
-            if hole["recovered_at"] is None:
-                d = math.hypot(node.x - hole["x"], node.y - hole["y"])
-                if d <= self.params.delta:
-                    hole["recovered_at"] = now
+        for i, hole in enumerate(self._holes):
+            if hole.recovered_at is None:
+                d = math.hypot(node.x - hole.position[0], node.y - hole.position[1])
+                if d <= self.config.delta:
+                    self._holes[i] = replace(hole, recovered_at=now)
 
     def _leave_active(self, node: SensorNode) -> None:
         self._active_ids.discard(node.id)
@@ -440,9 +419,7 @@ def deploy(
     elif len(initial_sleeps) != n:
         raise ValueError(f"expected {n} initial sleeps, got {len(initial_sleeps)}")
 
-    rate = (
-        world.peas.lambda_peas if config.protocol == "peas" else config.lambda_init
-    )
+    rate = config.peas_rate if config.protocol == "peas" else config.lambda_init
     for i in range(n):
         x, y = positions[i]
         node = SensorNode(
@@ -451,7 +428,6 @@ def deploy(
             y=y,
             state=NodeState.SLEEPING,
             probe_rate=rate,
-            beta=config.beta,
             wake_deadline=initial_sleeps[i],
             initial_energy=config.energy.initial_energy,
         )
@@ -488,43 +464,22 @@ def inject_failure(world: World, node_id: int, time: float) -> None:
     world.push(time, EventKind.FAILURE_INJECTION, node_id)
 
 
-def _schedule_timeout(world: World, node: SensorNode, now: float) -> None:
-    node.timeout_token += 1
-    world.push(
-        now + world.params.t_w, EventKind.REPLY_TIMEOUT, (node.id, node.timeout_token)
-    )
-
-
-def _handle_wake(world: World, node_id: int, now: float) -> None:
-    node = world.nodes[node_id]
-    if node.state is NodeState.DEAD:
-        return
+def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
+    """Run a wake or reply-timeout handler on a node, then put the probe it
+    returns on the air and arm a fresh reply timeout."""
     world.charge(node, now)
     if node.state is NodeState.DEAD:
-        return
+        return  # depleted while asleep or listening
     prev = node.state
-    req = sentinel_policy.on_wake(node, world.params, now)
+    req = handler(node, world.config, now)
     if node.state is not prev:
         world._sync_state(node, prev, now)
     if req is not None:
         world.broadcast(node, req, now)
-        _schedule_timeout(world, node, now)
-
-
-def _handle_timeout(world: World, node_id: int, token: int, now: float) -> None:
-    node = world.nodes[node_id]
-    if node.state is not NodeState.PROBING or token != node.timeout_token:
-        return  # cancelled by a reply or a state change
-    world.charge(node, now)
-    if node.state is not NodeState.PROBING:
-        return
-    prev = node.state
-    req = sentinel_policy.on_reply_timeout(node, world.params, now)
-    if node.state is not prev:
-        world._sync_state(node, prev, now)
-    if req is not None:
-        world.broadcast(node, req, now)
-        _schedule_timeout(world, node, now)
+        node.timeout_token += 1
+        world.push(
+            now + world.config.t_w, EventKind.REPLY_TIMEOUT, (node.id, node.timeout_token)
+        )
 
 
 def _handle_delivery(world: World, frame: Frame, now: float) -> None:
@@ -560,9 +515,9 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
             prev = node.state
             if node.state is NodeState.PROBING:
                 world.replies_received += 1
-                world._reply_fn(node, msg, world._policy_params, now, r)
+                world.policy.on_probe_reply(node, msg, cfg, now, r)
             else:  # ACTIVE: overheard replies route to the withdrawal check
-                if world._withdraw_fn(node, msg, world._policy_params, now, r):
+                if world.policy.on_withdrawal_check(node, msg, cfg, now, r):
                     world.withdrawals += 1
             if node.state is not prev:
                 world._sync_state(node, prev, now)
@@ -577,13 +532,12 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
         prev = node.state
         change_state(node, NodeState.DEAD)
         world._sync_state(node, prev, now)
-    hole = {"node_id": node.id, "time": now, "x": node.x, "y": node.y, "recovered_at": None}
-    for oid in world._active_ids:
-        other = world.nodes[oid]
-        if math.hypot(node.x - other.x, node.y - other.y) <= world.params.delta:
-            hole["recovered_at"] = now
-            break
-    world._holes.append(hole)
+    covered = any(
+        math.hypot(node.x - world.nodes[oid].x, node.y - world.nodes[oid].y)
+        <= world.config.delta
+        for oid in world._active_ids
+    )
+    world._holes.append(RecoveryEvent(node.id, now, node.position, now if covered else None))
 
 
 def _record_sample(world: World, now: float) -> None:
@@ -628,35 +582,37 @@ def run(world: World, duration: float | None = None) -> RunResult:
 
     heap = world._heap
     while heap:
-        ev = heapq.heappop(heap)
-        if ev.time > duration:
+        now, _, kind, payload = heapq.heappop(heap)
+        if now > duration:
             break
-        if ev.time < world.clock - 1e-9:
+        if now < world.clock - 1e-9:
             raise SimError(
-                f"event {ev.kind.name} at t={ev.time} violates clock monotonicity "
+                f"event {kind.name} at t={now} violates clock monotonicity "
                 f"(clock={world.clock})"
             )
-        world.clock = ev.time
-        kind = ev.kind
+        world.clock = now
         if kind is EventKind.MESSAGE_DELIVERY:
-            _handle_delivery(world, ev.payload, ev.time)
+            _handle_delivery(world, payload, now)
         elif kind is EventKind.WAKE:
-            _handle_wake(world, ev.payload, ev.time)
+            node = world.nodes[payload]
+            if node.state is not NodeState.DEAD:
+                _probe_step(world, node, now, sentinel_policy.on_wake)
         elif kind is EventKind.REPLY_TIMEOUT:
-            nid, token = ev.payload
-            _handle_timeout(world, nid, token, ev.time)
+            nid, token = payload
+            node = world.nodes[nid]
+            # a reply or a state change since arming cancels the timeout
+            if node.state is NodeState.PROBING and token == node.timeout_token:
+                _probe_step(world, node, now, sentinel_policy.on_reply_timeout)
         elif kind is EventKind.METRICS_SAMPLE:
-            _record_sample(world, ev.time)
-            nxt = ev.time + cfg.metrics_interval
+            _record_sample(world, now)
+            nxt = now + cfg.metrics_interval
             if nxt < duration:
                 world.push(nxt, EventKind.METRICS_SAMPLE)
         elif kind is EventKind.FAILURE_INJECTION:
-            _handle_failure(world, ev.payload, ev.time)
+            _handle_failure(world, payload, now)
         elif kind is EventKind.END_OF_RUN:
             world.clock = duration
             break
-        else:  # pragma: no cover
-            raise SimError(f"unknown event kind {kind!r}")
 
     if not world.rows or world.rows[-1].time != duration:
         _record_sample(world, duration)
@@ -664,15 +620,7 @@ def run(world: World, duration: float | None = None) -> RunResult:
     return RunResult(
         config=cfg,
         rows=list(world.rows),
-        recoveries=[
-            RecoveryEvent(
-                node_id=h["node_id"],
-                time=h["time"],
-                position=(h["x"], h["y"], 0.0),
-                recovered_at=h["recovered_at"],
-            )
-            for h in world._holes
-        ],
+        recoveries=list(world._holes),
         false_activation_ids=set(world.false_activation_ids),
         conflict_ages=list(world.conflict_ages),
         activations=list(world.activations),

@@ -4,29 +4,19 @@ activation, no conflict resolution.
 Wake, request handling, and timeout mechanics are shared with the sentinel
 policy (protocol.on_wake / on_probe_request / on_reply_timeout); this module
 supplies the two handlers that differ. A node under PEAS that activates never
-sleeps again, and its probe rate never adapts.
+sleeps again, and its probe rate never adapts: node.probe_rate stays the
+run's fixed wake rate, SimConfig.peas_rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .protocol import NodeState, ProbeReply, ProtocolError, SensorNode, distance_to
+from .protocol import NodeState, ProbeReply, ProtocolError, SensorNode, distance_to, go_to_sleep
 
-
-@dataclass(frozen=True)
-class PeasParams:
-    """Policy constants for the baseline scheduler."""
-
-    probing_range: float = 20.0   # m, replies from farther away are ignored
-    lambda_peas: float = 0.01     # 1/s, fixed wake rate
-
-    def __post_init__(self) -> None:
-        if self.probing_range <= 0:
-            raise ValueError(f"probing_range must be positive, got {self.probing_range}")
-        if self.lambda_peas <= 0:
-            raise ValueError(f"lambda_peas must be positive, got {self.lambda_peas}")
+if TYPE_CHECKING:
+    from .engine import SimConfig
 
 
 def peas_sample_sleep(lambda_peas: float, r: float) -> float:
@@ -45,7 +35,7 @@ def matched_rate(lambda_init: float, beta: float) -> float:
 
 
 def on_probe_reply(
-    node: SensorNode, msg: ProbeReply, params: PeasParams, now: float, r: float
+    node: SensorNode, msg: ProbeReply, config: SimConfig, now: float, r: float
 ) -> bool:
     """Any reply from within probing range sends the node back to sleep for an
     exponential duration at the unchanged rate (returns True)."""
@@ -53,19 +43,14 @@ def on_probe_reply(
         raise ProtocolError(
             f"probe reply routed to node {node.id} in state {node.state.name}"
         )
-    if distance_to(node, msg.sender_position) > params.probing_range:
+    if distance_to(node, msg.sender_position) > config.peas_range:
         return False
-    t_s = peas_sample_sleep(params.lambda_peas, r)
-    node.state = NodeState.SLEEPING
-    node.activity_start = None
-    node.probes_sent_this_round = 0
-    node.timeout_token += 1
-    node.wake_deadline = now + t_s
+    go_to_sleep(node, now, peas_sample_sleep(node.probe_rate, r))
     return True
 
 
 def on_withdrawal_check(
-    node: SensorNode, msg: ProbeReply, params: PeasParams, now: float, r: float
+    node: SensorNode, msg: ProbeReply, config: SimConfig, now: float, r: float
 ) -> bool:
     """Working nodes never stand down: overheard replies are ignored."""
     return False

@@ -11,16 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
-from .scheduling import (
-    LAMBDA_MAX,
-    LAMBDA_MIN,
-    T_SLEEP_MAX_SCALE,
-    T_SLEEP_MIN,
-    WeibullParams,
-    sample_sleep_time,
-    update_probe_rate,
-)
+from .scheduling import WeibullParams, sample_sleep_time, update_probe_rate
+
+if TYPE_CHECKING:
+    from .engine import SimConfig
 
 DEFAULT_MSG_SIZE = 25  # octets
 
@@ -83,46 +79,6 @@ class ProbeReply:
             raise ValueError(f"message size must be positive, got {self.size}")
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Tunable protocol constants shared by every node in a run."""
-
-    delta: float = 20.0           # m, distance threshold between active nodes
-    t_w: float = 1.0              # s, probe-reply wait timer
-    k_probes: int = 3             # probe attempts per round
-    ts_initial: float = 10.0      # s, upper bound of the uniform initial sleep
-    r_sense: float = 10.0         # m, sensing radius
-    r_comm: float = 20.0          # m, communication radius
-    msg_size: int = DEFAULT_MSG_SIZE  # octets per control frame
-    beta: float = 2.0             # Weibull shape used by the rate update
-    lambda_min: float = LAMBDA_MIN
-    lambda_max: float = LAMBDA_MAX
-    t_sleep_min: float = T_SLEEP_MIN
-    t_sleep_max_scale: float = T_SLEEP_MAX_SCALE
-    # Activity ages within this band count as a tie and fall back to the id
-    # rule. Must exceed the message airtime, which inflates the local age
-    # relative to the age stamped into the reply.
-    age_tie_margin: float = 0.01  # s
-
-    def __post_init__(self) -> None:
-        if self.delta > 2.0 * self.r_sense:
-            raise ValueError(
-                f"delta must be <= 2 * r_sense ({2 * self.r_sense}), got {self.delta}"
-            )
-        if self.r_comm < self.r_sense:
-            raise ValueError(
-                f"r_comm ({self.r_comm}) must be >= r_sense ({self.r_sense})"
-            )
-        if self.t_w <= 0:
-            raise ValueError(f"t_w must be positive, got {self.t_w}")
-        if self.k_probes < 1:
-            raise ValueError(f"k_probes must be >= 1, got {self.k_probes}")
-        if self.ts_initial <= 0:
-            raise ValueError(f"ts_initial must be positive, got {self.ts_initial}")
-        if self.msg_size <= 0:
-            raise ValueError(f"msg_size must be positive, got {self.msg_size}")
-
-
 @dataclass
 class SensorNode:
     """Protocol actor: position, lifecycle state, energy ledger, probe rate.
@@ -138,7 +94,6 @@ class SensorNode:
     z: float = 0.0
     state: NodeState = NodeState.SLEEPING
     probe_rate: float = 0.01          # 1/s
-    beta: float = 2.0
     activity_start: float | None = None
     wake_deadline: float = 0.0
     probes_sent_this_round: int = 0
@@ -184,27 +139,37 @@ def scan_check(d: float, delta: float) -> bool:
     return d <= delta
 
 
-def _go_to_sleep(node: SensorNode, params: ProtocolParams, now: float, r: float) -> float:
-    """Sample a sleep duration from the node's current rate and transition.
-
-    Returns the sleep duration; the caller schedules the wake at now + t_s.
-    """
-    weib = WeibullParams(alpha=1.0 / node.probe_rate, beta=params.beta)
-    t_s = sample_sleep_time(
-        weib,
-        r,
-        t_min=params.t_sleep_min,
-        t_max=params.t_sleep_max_scale * weib.alpha,
-    )
+def go_to_sleep(node: SensorNode, now: float, t_s: float) -> None:
+    """Send the node to sleep for t_s seconds; the caller schedules the wake
+    at node.wake_deadline. Shared by both policies."""
     change_state(node, NodeState.SLEEPING)
     node.activity_start = None
     node.probes_sent_this_round = 0
     node.timeout_token += 1  # cancels any pending reply timeout
     node.wake_deadline = now + t_s
-    return t_s
 
 
-def on_wake(node: SensorNode, params: ProtocolParams, now: float) -> ProbeRequest | None:
+def _adapt_and_sleep(node: SensorNode, config: SimConfig, now: float, r: float) -> None:
+    """Refresh the probe rate from the network age, then sleep for a Weibull
+    duration at the new rate drawn with the uniform r."""
+    node.probe_rate = update_probe_rate(
+        node.probe_rate,
+        now,
+        config.beta,
+        lambda_min=config.lambda_min,
+        lambda_max=config.lambda_max,
+    )
+    weib = WeibullParams(alpha=1.0 / node.probe_rate, beta=config.beta)
+    t_s = sample_sleep_time(
+        weib,
+        r,
+        t_min=config.t_sleep_min,
+        t_max=config.t_sleep_max_scale * weib.alpha,
+    )
+    go_to_sleep(node, now, t_s)
+
+
+def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest | None:
     """Wake from sleep and open a probing round.
 
     Returns the first probe request of the round, or None if the node's budget
@@ -223,7 +188,7 @@ def on_wake(node: SensorNode, params: ProtocolParams, now: float) -> ProbeReques
     change_state(node, NodeState.PROBING)
     node.probes_sent_this_round = 1
     return ProbeRequest(
-        sender_id=node.id, sender_position=node.position, size=params.msg_size
+        sender_id=node.id, sender_position=node.position, size=config.msg_size
     )
 
 
@@ -244,7 +209,7 @@ def on_probe_request(node: SensorNode, msg: ProbeRequest, now: float) -> ProbeRe
 
 
 def on_probe_reply(
-    node: SensorNode, msg: ProbeReply, params: ProtocolParams, now: float, r: float
+    node: SensorNode, msg: ProbeReply, config: SimConfig, now: float, r: float
 ) -> bool:
     """Handle a reply while probing.
 
@@ -257,20 +222,13 @@ def on_probe_reply(
         raise ProtocolError(
             f"probe reply routed to node {node.id} in state {node.state.name}"
         )
-    if not scan_check(distance_to(node, msg.sender_position), params.delta):
+    if not scan_check(distance_to(node, msg.sender_position), config.delta):
         return False
-    node.probe_rate = update_probe_rate(
-        node.probe_rate,
-        now,
-        params.beta,
-        lambda_min=params.lambda_min,
-        lambda_max=params.lambda_max,
-    )
-    _go_to_sleep(node, params, now, r)
+    _adapt_and_sleep(node, config, now, r)
     return True
 
 
-def on_reply_timeout(node: SensorNode, params: ProtocolParams, now: float) -> ProbeRequest | None:
+def on_reply_timeout(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest | None:
     """A probe attempt expired with no valid reply: retry or go on duty.
 
     Returns the next probe request while attempts remain (caller rebroadcasts
@@ -281,10 +239,10 @@ def on_reply_timeout(node: SensorNode, params: ProtocolParams, now: float) -> Pr
         raise ProtocolError(
             f"reply timeout fired for node {node.id} in state {node.state.name}"
         )
-    if node.probes_sent_this_round < params.k_probes:
+    if node.probes_sent_this_round < config.k_probes:
         node.probes_sent_this_round += 1
         return ProbeRequest(
-            sender_id=node.id, sender_position=node.position, size=params.msg_size
+            sender_id=node.id, sender_position=node.position, size=config.msg_size
         )
     change_state(node, NodeState.ACTIVE)
     node.activity_start = now
@@ -293,7 +251,7 @@ def on_reply_timeout(node: SensorNode, params: ProtocolParams, now: float) -> Pr
 
 
 def on_withdrawal_check(
-    node: SensorNode, msg: ProbeReply, params: ProtocolParams, now: float, r: float
+    node: SensorNode, msg: ProbeReply, config: SimConfig, now: float, r: float
 ) -> bool:
     """Resolve a conflict between two active nodes that can hear each other.
 
@@ -309,19 +267,12 @@ def on_withdrawal_check(
     if msg.sender_id == node.id:
         return False
     d = distance_to(node, msg.sender_position)
-    if d >= params.delta:
+    if d >= config.delta:
         return False
     age_diff = (now - node.activity_start) - msg.activity_age
-    younger = age_diff < -params.age_tie_margin
-    tied = abs(age_diff) <= params.age_tie_margin
+    younger = age_diff < -config.age_tie_margin
+    tied = abs(age_diff) <= config.age_tie_margin
     if not (younger or (tied and node.id > msg.sender_id)):
         return False
-    node.probe_rate = update_probe_rate(
-        node.probe_rate,
-        now,
-        params.beta,
-        lambda_min=params.lambda_min,
-        lambda_max=params.lambda_max,
-    )
-    _go_to_sleep(node, params, now, r)
+    _adapt_and_sleep(node, config, now, r)
     return True

@@ -8,9 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Default shape values; beta = 1.0 degenerates to the exponential distribution.
-BETA_CHOICES = (1.5, 2.0, 3.0)
-
 # Default probe-rate bounds. The hazard update grows without bound as time
 # advances, so callers clamp the result to keep nodes schedulable.
 LAMBDA_MIN = 1e-4  # 1/s

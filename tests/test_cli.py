@@ -1,6 +1,7 @@
 """Config parsing, experiment execution, output layout, reproducibility."""
 
 import json
+import typing
 
 import pytest
 
@@ -12,6 +13,7 @@ from sentinelsim.cli import (
     parse_config,
     run_experiment,
 )
+from sentinelsim.engine import EnergyModel, SimConfig
 
 FAST = """
 n_nodes = 40
@@ -170,11 +172,68 @@ def test_main_overrides_and_exit_codes(tmp_path):
     assert (out / "base" / "peas_rep0" / "metrics.csv").exists()
 
 
-def test_main_reports_config_errors(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("delta = 99", ["delta"]),
+        ("n_nodes = 20\n[sweep]\ndelta = 10, 25", ["line 3", "delta_25"]),
+        ("[sweep]\nseed = 1, 2", ["line 2", "replications"]),
+        ("[sweep]\nprotocol = sentinel, peas", ["line 2", "protocol = both"]),
+        ("protocol = peas\nlambda_peas = -1", ["lambda_peas"]),
+        ("peas_probing_range = 0", ["peas_probing_range"]),
+        ("duration = nan", ["duration", "finite"]),
+        ("[sweep]\nt_w = 1, inf", ["line 2", "t_w"]),
+    ],
+    ids=[
+        "invalid_base",
+        "bad_sweep_value",
+        "sweep_seed",
+        "sweep_protocol",
+        "negative_peas_rate",
+        "zero_peas_range",
+        "nan_duration",
+        "infinite_sweep_value",
+    ],
+)
+def test_main_reports_config_errors(tmp_path, capsys, text, expected):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("delta = 99")
-    assert main(["--config", str(cfg)]) == 1
-    assert "config error" in capsys.readouterr().err
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for fragment in expected:
+        assert fragment in err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
+def test_sweep_over_an_optional_value_names_the_none_point(tmp_path):
+    spec = parse_config(FAST + "protocol = peas\n[sweep]\nlambda_peas = none, 0.02")
+    spec.output_dir = tmp_path / "out"
+    assert run_experiment(spec) == 0
+    assert (spec.output_dir / "lambda_peas_none" / "peas_rep0" / "metrics.csv").exists()
+    assert (spec.output_dir / "lambda_peas_0.02" / "peas_rep0" / "metrics.csv").exists()
+
+
+def test_every_scalar_field_parses_to_its_declared_type():
+    # each scalar field of SimConfig and EnergyModel, written out as text,
+    # comes back from the parser with the type the dataclass declares
+    scalars = (bool, int, float, str, float | None)
+    sim = {k: t for k, t in typing.get_type_hints(SimConfig).items() if t in scalars}
+    energy = typing.get_type_hints(EnergyModel)
+    defaults, base_energy = SimConfig(), EnergyModel()
+    sample = lambda obj, key: "0.5" if getattr(obj, key) is None else str(getattr(obj, key))
+    text = "\n".join(f"{k} = {sample(defaults, k)}" for k in sim)
+    text += "\n[energy]\n" + "\n".join(f"{k} = {sample(base_energy, k)}" for k in energy)
+    spec = parse_config(text)
+    assert "lambda_peas" in sim and "collisions" in sim and "n_nodes" in sim
+    for obj, hints in ((spec.base, sim), (spec.base.energy, energy)):
+        for key, declared in hints.items():
+            value = getattr(obj, key)
+            allowed = typing.get_args(declared) or (declared,)
+            assert type(value) in allowed, (key, value, declared)
+    assert spec.base.lambda_peas == 0.5
+    assert spec.base.energy == base_energy
 
 
 def test_spec_validation():

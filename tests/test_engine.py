@@ -1,5 +1,8 @@
 """Event kernel: deployment, radio semantics, energy ledger, failure injection."""
 
+import math
+import typing
+
 import pytest
 
 from sentinelsim.engine import (
@@ -48,6 +51,17 @@ def force_state(world, node, state):
         dict(failure_injections=[(99, 10.0)]),
         dict(failure_injections=[(0, 7000.0)]),
         dict(reply_jitter=2.0),
+        dict(delta=math.nan),
+        dict(duration=math.nan),
+        dict(t_w=math.nan),
+        dict(beta=math.nan),
+        dict(lambda_init=math.inf),
+        dict(lambda_peas=-1.0),
+        dict(peas_probing_range=0.0),
+        dict(t_w=0.0),
+        dict(delta=30.0, r_sense=10.0),
+        dict(coverage_resolution=0.0),
+        dict(age_tie_margin=-1.0),
     ],
 )
 def test_invalid_configs_rejected(kw):
@@ -62,6 +76,26 @@ def test_energy_model_validation():
         EnergyModel(p_sleep=0.1).validate()
     with pytest.raises(ValueError):
         EnergyModel(initial_energy=0.0).validate()
+    with pytest.raises(ValueError):
+        EnergyModel(p_active=math.nan).validate()
+    with pytest.raises(ValueError):
+        EnergyModel(initial_energy=math.inf).validate()
+
+
+def _float_fields(cls):
+    hints = typing.get_type_hints(cls)
+    return [k for k, t in hints.items() if float in (t, *typing.get_args(t))]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_non_finite_float_field_rejected(bad):
+    assert "lambda_peas" in _float_fields(SimConfig)  # optional floats included
+    for name in _float_fields(SimConfig):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(n_nodes=10, **{name: bad}).validate()
+    for name in _float_fields(EnergyModel):
+        with pytest.raises(ValueError, match=name):
+            EnergyModel(**{name: bad}).validate()
 
 
 # -- deployment ----------------------------------------------------------------
@@ -158,8 +192,9 @@ def test_configured_message_size_drives_airtime():
     sender.activity_start = 0.0
     force_state(world, receiver, NodeState.PROBING)
     world.broadcast(sender, ProbeRequest(0, sender.position, size=50), 1.0)
-    delivery = min(ev for ev in world._heap if ev.kind is EventKind.MESSAGE_DELIVERY)
-    assert delivery.time == pytest.approx(1.0016, rel=1e-12)
+    # heap entries are (time, seq, kind, payload)
+    delivery = min(ev for ev in world._heap if ev[2] is EventKind.MESSAGE_DELIVERY)
+    assert delivery[0] == pytest.approx(1.0016, rel=1e-12)
 
 
 def test_overlapping_frames_collide_destructively_at_common_receiver():

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+import sentinelsim.peas as peas_mod
 from sentinelsim.engine import SimConfig, deploy, run, simulate
-from sentinelsim.peas import PeasParams, matched_rate, on_withdrawal_check, peas_sample_sleep
+from sentinelsim.peas import matched_rate, on_withdrawal_check, peas_sample_sleep
 from sentinelsim.protocol import NodeState, ProbeReply, SensorNode, change_state
 
 
@@ -21,13 +22,6 @@ def test_sample_sleep_rejects_bad_r(r):
         peas_sample_sleep(0.01, r)
 
 
-def test_params_validate():
-    with pytest.raises(ValueError):
-        PeasParams(probing_range=0.0)
-    with pytest.raises(ValueError):
-        PeasParams(lambda_peas=-1.0)
-
-
 def test_matched_rate_equates_mean_initial_sleeps():
     # exponential mean 1/rate must equal the Weibull mean Gamma(1+1/beta)/lambda
     lam = matched_rate(0.01, 2.0)
@@ -40,7 +34,8 @@ def test_active_baseline_node_never_stands_down():
     change_state(node, NodeState.ACTIVE)
     node.activity_start = 0.0
     reply = ProbeReply(sender_id=2, sender_position=(1.0, 0.0, 0.0), activity_age=500.0)
-    assert on_withdrawal_check(node, reply, PeasParams(), now=10.0, r=0.5) is False
+    cfg = SimConfig(protocol="peas")
+    assert on_withdrawal_check(node, reply, cfg, now=10.0, r=0.5) is False
     assert node.state is NodeState.ACTIVE
 
 
@@ -59,6 +54,30 @@ def test_reply_within_probing_range_resets_exponential_sleep():
     assert prober.state is NodeState.SLEEPING
     assert prober.probe_rate == rate_before  # no adaptation, ever
     assert world.withdrawals == 0
+
+
+def test_reply_handler_is_looked_up_when_the_reply_arrives(monkeypatch):
+    # replacing the policy's handler after deploy reroutes the run's replies
+    cfg = SimConfig(
+        n_nodes=2, duration=10.0, seed=1, protocol="peas", loss_probability=0.0
+    )
+    world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
+    guard, prober = world.nodes
+    guard.state = NodeState.ACTIVE
+    guard.activity_start = 0.0
+    world._radio_on.add(guard.id)
+    world._active_ids.add(guard.id)
+    calls = []
+    real = peas_mod.on_probe_reply
+
+    def spy(node, msg, config, now, r):
+        calls.append((node.id, msg.sender_id, config is cfg))
+        return real(node, msg, config, now, r)
+
+    monkeypatch.setattr(peas_mod, "on_probe_reply", spy)
+    run(world)
+    assert calls == [(prober.id, guard.id, True)]
+    assert prober.state is NodeState.SLEEPING
 
 
 def test_reply_from_beyond_probing_range_is_ignored():
@@ -93,7 +112,8 @@ def test_active_set_is_monotone_nondecreasing():
 def test_baseline_probe_rate_is_time_invariant():
     cfg = SimConfig(n_nodes=80, duration=1500.0, seed=5, protocol="peas")
     world = deploy(cfg)
-    expected = world.peas.lambda_peas
+    expected = cfg.peas_rate
+    assert expected == matched_rate(cfg.lambda_init, cfg.beta)
     run(world)
     assert all(node.probe_rate == expected for node in world.nodes)
 

@@ -2,13 +2,13 @@
 
 import pytest
 
+from sentinelsim.engine import SimConfig
 from sentinelsim.protocol import (
     ALLOWED_TRANSITIONS,
     NodeState,
     ProbeReply,
     ProbeRequest,
     ProtocolError,
-    ProtocolParams,
     SensorNode,
     change_state,
     on_probe_reply,
@@ -19,7 +19,7 @@ from sentinelsim.protocol import (
     scan_check,
 )
 
-PARAMS = ProtocolParams()
+PARAMS = SimConfig()
 
 
 def make_node(nid=0, x=0.0, y=0.0, state=NodeState.SLEEPING, **kw):
@@ -156,7 +156,7 @@ def test_timeout_retries_until_budget_exhausted():
 
 
 def test_single_attempt_config_activates_immediately():
-    params = ProtocolParams(k_probes=1)
+    params = SimConfig(k_probes=1)
     node = make_node()
     on_wake(node, params, 10.0)
     assert on_reply_timeout(node, params, now=11.0) is None
@@ -250,14 +250,3 @@ def test_message_invariants():
         ProbeRequest(1, (0.0, 0.0, 0.0), size=0)
     with pytest.raises(ValueError):
         ProbeReply(1, (0.0, 0.0, 0.0), activity_age=-1.0)
-
-
-def test_params_invariants():
-    with pytest.raises(ValueError):
-        ProtocolParams(delta=30.0, r_sense=10.0)
-    with pytest.raises(ValueError):
-        ProtocolParams(r_comm=5.0, r_sense=10.0)
-    with pytest.raises(ValueError):
-        ProtocolParams(k_probes=0)
-    with pytest.raises(ValueError):
-        ProtocolParams(t_w=0.0)
