@@ -241,6 +241,9 @@ class World:
         self._grid = CoverageGrid(
             config.field_width, config.field_height, config.coverage_resolution
         )
+        # active ids of the last coverage computation, and its result
+        self._sampled_ids: tuple[int, ...] | None = None
+        self._sampled_coverage = 0.0
         self._power = {
             NodeState.SLEEPING: config.energy.p_sleep,
             NodeState.PROBING: config.energy.p_probe_listen,
@@ -261,19 +264,19 @@ class World:
 
     # -- energy --------------------------------------------------------------
 
-    def _spend(self, node: SensorNode, amount: float, category: str, now: float) -> None:
+    def _deplete(self, node: SensorNode, category: str, now: float) -> None:
+        """Spend the rest of the node's budget on its `category` field; it dies.
+
+        A charge that fits the budget is added inline by its caller, to its
+        field and to spent_total; only one that does not fit comes here.
+        """
         budget = node.initial_energy - node.spent_total
-        if amount >= budget:
-            amount = budget
-            setattr(node, category, getattr(node, category) + amount)
-            node.spent_total = node.initial_energy
-            if node.state is not NodeState.DEAD:
-                prev = node.state
-                change_state(node, NodeState.DEAD)
-                self._sync_state(node, prev, now)
-        else:
-            setattr(node, category, getattr(node, category) + amount)
-            node.spent_total += amount
+        setattr(node, category, getattr(node, category) + budget)
+        node.spent_total = node.initial_energy
+        if node.state is not NodeState.DEAD:
+            prev = node.state
+            change_state(node, NodeState.DEAD)
+            self._sync_state(node, prev, now)
 
     def charge(self, node: SensorNode, now: float) -> None:
         """Advance the node's state-power integral to `now`, applying death by
@@ -284,7 +287,12 @@ class World:
         node.last_charge_time = now
         p = self._power[node.state]
         if p > 0.0:
-            self._spend(node, p * dt, "spent_state", now)
+            amount = p * dt
+            if amount < node.initial_energy - node.spent_total:
+                node.spent_state += amount
+                node.spent_total += amount
+            else:
+                self._deplete(node, "spent_state", now)
 
     # -- state bookkeeping ----------------------------------------------------
 
@@ -366,7 +374,12 @@ class World:
             self.probes_sent += 1
         else:
             self.replies_sent += 1
-        self._spend(sender, cfg.energy.e_tx, "spent_tx", start)
+        e_tx = cfg.energy.e_tx
+        if e_tx < sender.initial_energy - sender.spent_total:
+            sender.spent_tx += e_tx
+            sender.spent_total += e_tx
+        else:
+            self._deplete(sender, "spent_tx", start)
         if frame.receivers:
             self.push(end, EventKind.MESSAGE_DELIVERY, frame)
 
@@ -375,12 +388,6 @@ class World:
     @property
     def active_ids(self) -> set[int]:
         return set(self._active_ids)
-
-    def state_counts(self) -> dict[NodeState, int]:
-        counts = dict.fromkeys(NodeState, 0)
-        for node in self.nodes:
-            counts[node.state] += 1
-        return counts
 
 
 def _uniform_open(rng: random.Random) -> float:
@@ -494,8 +501,11 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
         world.charge(node, now)
         if not node.radio_on:
             continue
-        world._spend(node, e_rx, "spent_rx", now)
-        if node.state is NodeState.DEAD:
+        if e_rx < node.initial_energy - node.spent_total:
+            node.spent_rx += e_rx
+            node.spent_total += e_rx
+        else:
+            world._deplete(node, "spent_rx", now)
             continue
         msg = frame.msg
         if isinstance(msg, ProbeRequest):
@@ -541,13 +551,19 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
 
 
 def _record_sample(world: World, now: float) -> None:
+    counts = [0] * len(NodeState)
+    charge = world.charge
     for node in world.nodes:
-        world.charge(node, now)
-    counts = world.state_counts()
-    actives = [
-        (world.nodes[i].x, world.nodes[i].y) for i in sorted(world._active_ids)
-    ]
-    cov = coverage_fraction(actives, world.config.r_sense, world._grid)
+        charge(node, now)  # a depletion here changes only this node's state
+        counts[node.state] += 1
+    # Coverage depends only on which nodes are on duty, and that set rarely
+    # changes between samples; it is keyed on the set's content, since a
+    # scenario may write _active_ids directly.
+    ids = tuple(sorted(world._active_ids))
+    if ids != world._sampled_ids:
+        actives = [(world.nodes[i].x, world.nodes[i].y) for i in ids]
+        world._sampled_coverage = coverage_fraction(actives, world.config.r_sense, world._grid)
+        world._sampled_ids = ids
     world.rows.append(
         MetricsRecord(
             time=now,
@@ -556,7 +572,7 @@ def _record_sample(world: World, now: float) -> None:
             probing_count=counts[NodeState.PROBING],
             dead_count=counts[NodeState.DEAD],
             total_energy_consumed=sum(n.spent_total for n in world.nodes),
-            coverage_fraction=cov,
+            coverage_fraction=world._sampled_coverage,
             probes_sent=world.probes_sent,
             probes_received=world.probes_received,
             replies_sent=world.replies_sent,

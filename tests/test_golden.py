@@ -1,0 +1,99 @@
+"""Golden outputs: sha256 digests of the metrics CSV and the summary JSON of a
+few fixed runs, so a change meant to keep behaviour proves it kept every byte
+(and, through the outputs, every RNG draw). A third digest covers each node's
+energy ledger, whose split into state, transmit and receive costs the CSV does
+not show.
+
+The digests live in tests/golden/digests.json. When a change alters the
+outputs on purpose, rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change why they moved.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from sentinelsim import EnergyModel, SimConfig, deploy, run, summarize
+from sentinelsim.analysis import metrics_to_csv, summary_to_json
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+SCENARIOS = {
+    "sentinel": dict(n_nodes=200, duration=3000.0, seed=5),
+    "peas": dict(n_nodes=200, duration=3000.0, seed=5, protocol="peas"),
+    "no_collisions": dict(n_nodes=120, duration=1000.0, seed=6, collisions=False),
+    "single_probe_lossy": dict(
+        n_nodes=100, duration=1000.0, seed=7, k_probes=1, loss_probability=0.15
+    ),
+    "failures": dict(
+        n_nodes=150,
+        duration=2000.0,
+        seed=8,
+        failure_injections=[(i, 300.0 + 9 * i) for i in range(0, 150, 5)],
+    ),
+    # one sample a second on a fine grid while guards fail: the sampler sees
+    # the active set both hold still and change between samples
+    "dense_sampling": dict(
+        n_nodes=100,
+        duration=200.0,
+        seed=9,
+        metrics_interval=1.0,
+        coverage_resolution=0.5,
+        failure_injections=[(i, 40.0 + i) for i in range(0, 100, 7)],
+    ),
+    # every node runs its budget down: the only gate on the depletion branch
+    # of the energy ledger. Most die of state power; one node of the sentinel
+    # run dies of a reception, one of the PEAS run of a transmission.
+    "depletion": dict(
+        n_nodes=60, duration=3000.0, seed=10, energy=EnergyModel(initial_energy=2.0)
+    ),
+    "depletion_peas": dict(
+        n_nodes=60,
+        duration=3000.0,
+        seed=38,
+        protocol="peas",
+        energy=EnergyModel(initial_energy=2.0),
+    ),
+}
+
+
+def run_scenario(name):
+    cfg = SimConfig(**SCENARIOS[name])
+    world = deploy(cfg)
+    result = run(world)
+    texts = {
+        "metrics_csv": metrics_to_csv(result.rows),
+        "summary_json": summary_to_json(summarize(result), cfg),
+        "ledger": "".join(
+            f"{n.spent_state!r},{n.spent_tx!r},{n.spent_rx!r},{n.spent_total!r}\n"
+            for n in world.nodes
+        ),
+    }
+    return result, {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_outputs_match_golden_digests(name):
+    recorded = json.loads(DIGESTS.read_text())
+    result, digests = run_scenario(name)
+    assert digests == recorded[name]
+    if name.startswith("depletion"):
+        assert result.rows[-1].dead_count == SCENARIOS[name]["n_nodes"]
+    if name == "dense_sampling":
+        coverage = [row.coverage_fraction for row in result.rows]
+        assert len(set(coverage)) > 2
+
+
+def test_every_scenario_has_a_recorded_digest():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(SCENARIOS)
+
+
+if __name__ == "__main__":
+    table = {name: run_scenario(name)[1] for name in sorted(SCENARIOS)}
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {DIGESTS}")
