@@ -46,42 +46,3 @@ from .scheduling import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CoverageGrid",
-    "EnergyModel",
-    "EventKind",
-    "MetricsRecord",
-    "NodeState",
-    "OverheadReport",
-    "ProbeReply",
-    "ProbeRequest",
-    "ProtocolError",
-    "RecoveryEvent",
-    "RunResult",
-    "SensorNode",
-    "SimConfig",
-    "SimError",
-    "SummaryReport",
-    "UNRECOVERED",
-    "WeibullParams",
-    "World",
-    "compare_runs",
-    "coverage_fraction",
-    "deploy",
-    "hazard_rate",
-    "inject_failure",
-    "matched_rate",
-    "overhead_report",
-    "peas_sample_sleep",
-    "recovery_latency",
-    "run",
-    "sample_sleep_time",
-    "scan_check",
-    "simulate",
-    "summarize",
-    "update_probe_rate",
-    "weibull_cdf",
-    "weibull_survival",
-    "write_metrics_csv",
-]

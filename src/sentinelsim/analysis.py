@@ -9,29 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 #: Marker for a coverage hole never refilled within the run.
 UNRECOVERED = math.inf
-
-CSV_COLUMNS = (
-    "time",
-    "active_count",
-    "sleeping_count",
-    "probing_count",
-    "dead_count",
-    "total_energy_consumed",
-    "coverage_fraction",
-    "probes_sent",
-    "probes_received",
-    "replies_sent",
-    "replies_received",
-    "collisions",
-    "withdrawals",
-)
 
 
 @dataclass(frozen=True)
@@ -58,13 +42,16 @@ class MetricsRecord:
     withdrawals: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+
+
 @dataclass(frozen=True)
 class RecoveryEvent:
     """A killed guard and the eventual re-occupation of its disk."""
 
     node_id: int
     time: float                       # s, injection time
-    position: tuple[float, float, float]
+    position: tuple[float, float]
     recovered_at: float | None = None # s, first activation back inside the disk
 
     @property
@@ -130,7 +117,7 @@ class CoverageGrid:
 
 
 def coverage_fraction(
-    active_positions: Sequence[tuple[float, float]] | Sequence[tuple[float, float, float]],
+    active_positions: Sequence[tuple[float, float]],
     r_sense: float,
     grid: CoverageGrid,
 ) -> float:

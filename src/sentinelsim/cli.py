@@ -42,9 +42,9 @@ from .analysis import (
     summary_to_json,
     write_metrics_csv,
 )
-from .engine import EnergyModel, SimConfig, simulate
+from .engine import PROTOCOLS, EnergyModel, SimConfig, simulate
 
-PROTOCOL_CHOICES = ("sentinel", "peas", "both")
+PROTOCOL_CHOICES = (*PROTOCOLS, "both")
 
 _SIM_FIELDS = typing.get_type_hints(SimConfig)
 _ENERGY_FIELDS = typing.get_type_hints(EnergyModel)
@@ -205,8 +205,6 @@ def parse_config(text: str) -> ExperimentSpec:
     if energy_kwargs:
         sim_kwargs["energy"] = EnergyModel(**energy_kwargs)
     spec.base = SimConfig(**sim_kwargs)
-    if spec.protocol in ("sentinel", "peas"):
-        spec.base.protocol = spec.protocol
     try:
         spec.validate()
     except SweepPointError as exc:
@@ -260,7 +258,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out_root = spec.output_dir
     out_root.mkdir(parents=True, exist_ok=True)
     summary_lines = [",".join(SWEEP_SUMMARY_COLUMNS)]
-    protocols = ("sentinel", "peas") if spec.protocol == "both" else (spec.protocol,)
+    protocols = PROTOCOLS if spec.protocol == "both" else (spec.protocol,)
     for point_name, overrides in _sweep_points(spec):
         point_dir = out_root / point_name
         try:
@@ -334,8 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         spec = load_config(args.config) if args.config else ExperimentSpec()
         if args.protocol:
             spec.protocol = args.protocol
-            if args.protocol in ("sentinel", "peas"):
-                spec.base.protocol = args.protocol
         if args.seed is not None:
             spec.base.seed = args.seed
         if args.duration is not None:

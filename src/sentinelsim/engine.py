@@ -15,13 +15,14 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 
-from . import peas as peas_policy
-from . import protocol as sentinel_policy
+from . import peas, protocol
 from .analysis import CoverageGrid, MetricsRecord, RecoveryEvent, RunResult, coverage_fraction
-from .peas import matched_rate
 from .protocol import NodeState, ProbeRequest, SensorNode, change_state
 
-PROTOCOLS = ("sentinel", "peas")
+# Each policy module supplies wake_rate and the reply and withdrawal handlers;
+# wake, request and timeout handling are the sentinel module's for both.
+POLICIES = {"sentinel": protocol, "peas": peas}
+PROTOCOLS = tuple(POLICIES)
 
 
 class SimError(RuntimeError):
@@ -169,21 +170,6 @@ class SimConfig:
     def airtime(self) -> float:
         return self.msg_size * 8.0 / self.bitrate
 
-    @property
-    def peas_rate(self) -> float:
-        """PEAS wake rate: lambda_peas, or by default the rate matching the
-        sentinel policy's mean initial sleep."""
-        if self.lambda_peas is not None:
-            return self.lambda_peas
-        return matched_rate(self.lambda_init, self.beta)
-
-    @property
-    def peas_range(self) -> float:
-        """PEAS acceptance radius for replies: peas_probing_range, or delta."""
-        if self.peas_probing_range is not None:
-            return self.peas_probing_range
-        return self.delta
-
 
 def _require_finite(obj) -> None:
     """Reject NaN and infinite values in any float field of a config dataclass."""
@@ -212,10 +198,9 @@ class World:
 
     def __init__(self, config: SimConfig):
         self.config = config
-        # The policy module supplying the reply and withdrawal handlers. They
-        # are looked up on it at call time, so patching the module's
+        # Its handlers are looked up at call time, so patching the module's
         # functions after deploy takes effect.
-        self.policy = peas_policy if config.protocol == "peas" else sentinel_policy
+        self.policy = POLICIES[config.protocol]
         self.clock = 0.0
         self.rng = random.Random(config.seed)
         self.nodes: list[SensorNode] = []
@@ -426,7 +411,7 @@ def deploy(
     elif len(initial_sleeps) != n:
         raise ValueError(f"expected {n} initial sleeps, got {len(initial_sleeps)}")
 
-    rate = config.peas_rate if config.protocol == "peas" else config.lambda_init
+    rate = world.policy.wake_rate(config)
     for i in range(n):
         x, y = positions[i]
         node = SensorNode(
@@ -517,7 +502,7 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
                     world.rng.uniform(0.0, cfg.reply_jitter) if cfg.reply_jitter > 0 else 0.0
                 )
                 tx_start = now + jitter
-                reply = sentinel_policy.on_probe_request(node, msg, tx_start)
+                reply = protocol.on_probe_request(node, msg, tx_start)
                 if reply is not None:
                     world.broadcast(node, reply, tx_start)
         else:
@@ -599,8 +584,6 @@ def run(world: World, duration: float | None = None) -> RunResult:
     heap = world._heap
     while heap:
         now, _, kind, payload = heapq.heappop(heap)
-        if now > duration:
-            break
         if now < world.clock - 1e-9:
             raise SimError(
                 f"event {kind.name} at t={now} violates clock monotonicity "
@@ -612,13 +595,13 @@ def run(world: World, duration: float | None = None) -> RunResult:
         elif kind is EventKind.WAKE:
             node = world.nodes[payload]
             if node.state is not NodeState.DEAD:
-                _probe_step(world, node, now, sentinel_policy.on_wake)
+                _probe_step(world, node, now, protocol.on_wake)
         elif kind is EventKind.REPLY_TIMEOUT:
             nid, token = payload
             node = world.nodes[nid]
             # a reply or a state change since arming cancels the timeout
             if node.state is NodeState.PROBING and token == node.timeout_token:
-                _probe_step(world, node, now, sentinel_policy.on_reply_timeout)
+                _probe_step(world, node, now, protocol.on_reply_timeout)
         elif kind is EventKind.METRICS_SAMPLE:
             _record_sample(world, now)
             nxt = now + cfg.metrics_interval
@@ -627,7 +610,6 @@ def run(world: World, duration: float | None = None) -> RunResult:
         elif kind is EventKind.FAILURE_INJECTION:
             _handle_failure(world, payload, now)
         elif kind is EventKind.END_OF_RUN:
-            world.clock = duration
             break
 
     if not world.rows or world.rows[-1].time != duration:

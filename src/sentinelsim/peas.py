@@ -3,9 +3,9 @@ activation, no conflict resolution.
 
 Wake, request handling, and timeout mechanics are shared with the sentinel
 policy (protocol.on_wake / on_probe_request / on_reply_timeout); this module
-supplies the two handlers that differ. A node under PEAS that activates never
-sleeps again, and its probe rate never adapts: node.probe_rate stays the
-run's fixed wake rate, SimConfig.peas_rate.
+supplies the wake rate and the two handlers that differ. A node under PEAS
+that activates never sleeps again, and its probe rate never adapts:
+node.probe_rate stays the run's fixed wake rate, wake_rate(config).
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ def matched_rate(lambda_init: float, beta: float) -> float:
     return lambda_init / math.gamma(1.0 + 1.0 / beta)
 
 
+def wake_rate(config: SimConfig) -> float:
+    """The fixed wake rate: lambda_peas, or by default the rate matching the
+    sentinel policy's mean initial sleep."""
+    if config.lambda_peas is not None:
+        return config.lambda_peas
+    return matched_rate(config.lambda_init, config.beta)
+
+
 def on_probe_reply(
     node: SensorNode, msg: ProbeReply, config: SimConfig, now: float, r: float
 ) -> bool:
@@ -43,7 +51,10 @@ def on_probe_reply(
         raise ProtocolError(
             f"probe reply routed to node {node.id} in state {node.state.name}"
         )
-    if distance_to(node, msg.sender_position) > config.peas_range:
+    radius = config.peas_probing_range
+    if radius is None:
+        radius = config.delta
+    if distance_to(node, msg.sender_position) > radius:
         return False
     go_to_sleep(node, now, peas_sample_sleep(node.probe_rate, r))
     return True

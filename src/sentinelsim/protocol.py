@@ -51,7 +51,7 @@ class ProbeRequest:
     """Broadcast by a waking node looking for a nearby guard."""
 
     sender_id: int
-    sender_position: tuple[float, float, float]
+    sender_position: tuple[float, float]
     size: int = DEFAULT_MSG_SIZE
 
     def __post_init__(self) -> None:
@@ -68,7 +68,7 @@ class ProbeReply:
     """
 
     sender_id: int
-    sender_position: tuple[float, float, float]
+    sender_position: tuple[float, float]
     activity_age: float
     size: int = DEFAULT_MSG_SIZE
 
@@ -91,7 +91,6 @@ class SensorNode:
     id: int
     x: float
     y: float
-    z: float = 0.0
     state: NodeState = NodeState.SLEEPING
     probe_rate: float = 0.01          # 1/s
     activity_start: float | None = None
@@ -106,8 +105,8 @@ class SensorNode:
     last_charge_time: float = 0.0
 
     @property
-    def position(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+    def position(self) -> tuple[float, float]:
+        return (self.x, self.y)
 
     @property
     def energy_remaining(self) -> float:
@@ -127,8 +126,8 @@ def change_state(node: SensorNode, new: NodeState) -> None:
     node.state = new
 
 
-def distance_to(node: SensorNode, position: tuple[float, float, float]) -> float:
-    """Planar distance from the node to a message's sender coordinates."""
+def distance_to(node: SensorNode, position: tuple[float, float]) -> float:
+    """Distance from the node to a message's sender coordinates."""
     return math.hypot(node.x - position[0], node.y - position[1])
 
 
@@ -167,6 +166,11 @@ def _adapt_and_sleep(node: SensorNode, config: SimConfig, now: float, r: float) 
         t_max=config.t_sleep_max_scale * weib.alpha,
     )
     go_to_sleep(node, now, t_s)
+
+
+def wake_rate(config: SimConfig) -> float:
+    """Probe rate every node starts the run with."""
+    return config.lambda_init
 
 
 def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest | None:

@@ -114,9 +114,9 @@ def test_recovery_latency_reads_the_recorded_event():
         cfg,
         [make_row()],
         recoveries=[
-            RecoveryEvent(0, 1000.0, (25.0, 25.0, 0.0), recovered_at=1040.0),
-            RecoveryEvent(1, 2000.0, (10.0, 10.0, 0.0), recovered_at=None),
-            RecoveryEvent(2, 3000.0, (40.0, 40.0, 0.0), recovered_at=3000.0),
+            RecoveryEvent(0, 1000.0, (25.0, 25.0), recovered_at=1040.0),
+            RecoveryEvent(1, 2000.0, (10.0, 10.0), recovered_at=None),
+            RecoveryEvent(2, 3000.0, (40.0, 40.0), recovered_at=3000.0),
         ],
     )
     assert recovery_latency(res, 1000.0) == pytest.approx(40.0)
@@ -144,7 +144,7 @@ def test_sparse_deployment_leaves_hole_unrecovered():
 # -- overhead -------------------------------------------------------------------
 
 
-def test_lossless_cluster_accounting():
+def test_lossless_cluster_accounting(force_state):
     # one prober, three guards in its range (none in each other's), perfect
     # channel: every request lands on every guard, every guard answers once
     cfg = SimConfig(
@@ -158,10 +158,8 @@ def test_lossless_cluster_accounting():
     from sentinelsim.protocol import NodeState
 
     for guard in world.nodes[1:]:
-        guard.state = NodeState.ACTIVE
+        force_state(world, guard, NodeState.ACTIVE)
         guard.activity_start = 0.0
-        world._radio_on.add(guard.id)
-        world._active_ids.add(guard.id)
     result = run(world)
     assert world.probes_sent == 1
     assert world.probes_received == 3  # receivers in range x sent requests
@@ -172,17 +170,15 @@ def test_lossless_cluster_accounting():
     assert report.sent_vs_received_requests[-1] == (1, 3)
 
 
-def test_serialized_reply_conservation():
+def test_serialized_reply_conservation(force_state):
     # single guard, single prober, perfect channel: every reply sent is received
     cfg = SimConfig(n_nodes=2, duration=10.0, seed=2, loss_probability=0.0)
     world = deploy(cfg, positions=[(25.0, 25.0), (30.0, 25.0)], initial_sleeps=[2.0, 1e9])
     from sentinelsim.protocol import NodeState
 
     guard = world.nodes[1]
-    guard.state = NodeState.ACTIVE
+    force_state(world, guard, NodeState.ACTIVE)
     guard.activity_start = 0.0
-    world._radio_on.add(guard.id)
-    world._active_ids.add(guard.id)
     run(world)
     assert world.replies_sent == world.replies_received == 1
 
@@ -272,7 +268,7 @@ def test_summary_json_marks_unrecovered_as_null():
     res = make_result(
         cfg,
         [make_row(coverage_fraction=0.5, total_energy_consumed=8.0)],
-        recoveries=[RecoveryEvent(1, 50.0, (0.0, 0.0, 0.0), recovered_at=None)],
+        recoveries=[RecoveryEvent(1, 50.0, (0.0, 0.0), recovered_at=None)],
         false_activation_ids={1, 2},
     )
     payload = json.loads(summary_to_json(summarize(res), cfg))

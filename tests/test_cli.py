@@ -170,6 +170,9 @@ def test_main_overrides_and_exit_codes(tmp_path):
     )
     assert rc == 0
     assert (out / "base" / "peas_rep0" / "metrics.csv").exists()
+    # the config file leaves protocol at its default: the run itself is PEAS
+    summary = json.loads((out / "base" / "peas_rep0" / "summary.json").read_text())
+    assert summary["config"]["protocol"] == "peas"
 
 
 @pytest.mark.parametrize(

@@ -27,15 +27,6 @@ def small_config(**kw):
     return SimConfig(**defaults)
 
 
-def force_state(world, node, state):
-    """Test hook: place a node into a lifecycle state with the engine's books."""
-    node.state = state
-    if state in (NodeState.PROBING, NodeState.ACTIVE):
-        world._radio_on.add(node.id)
-    if state is NodeState.ACTIVE:
-        world._active_ids.add(node.id)
-
-
 # -- config validation ---------------------------------------------------------
 
 
@@ -185,7 +176,7 @@ def test_airtime_of_default_frame():
     assert SimConfig().airtime == pytest.approx(0.0008, rel=1e-12)
 
 
-def test_configured_message_size_drives_airtime():
+def test_configured_message_size_drives_airtime(force_state):
     # 50-octet frames at 250 kbit/s occupy the air for 1.6 ms
     cfg = small_config(n_nodes=2, duration=10.0, msg_size=50)
     world = deploy(cfg, positions=[(0.0, 0.0), (5.0, 0.0)], initial_sleeps=[1e9, 1e9])
@@ -199,7 +190,7 @@ def test_configured_message_size_drives_airtime():
     assert delivery[0] == pytest.approx(1.0016, rel=1e-12)
 
 
-def test_overlapping_frames_collide_destructively_at_common_receiver():
+def test_overlapping_frames_collide_destructively_at_common_receiver(force_state):
     # senders out of each other's range, both audible at the middle node
     cfg = small_config(n_nodes=3, duration=100.0)
     world = deploy(
@@ -218,7 +209,7 @@ def test_overlapping_frames_collide_destructively_at_common_receiver():
     assert c.spent_rx == 0.0  # both frames died at the shared receiver
 
 
-def test_sleeping_receiver_hears_nothing_and_never_collides():
+def test_sleeping_receiver_hears_nothing_and_never_collides(force_state):
     cfg = small_config(n_nodes=2, duration=10.0)
     world = deploy(cfg, positions=[(0.0, 0.0), (5.0, 0.0)], initial_sleeps=[9.0, 9.5])
     a, b = world.nodes
@@ -231,7 +222,7 @@ def test_sleeping_receiver_hears_nothing_and_never_collides():
     assert b.spent_rx == 0.0
 
 
-def test_no_delivery_beyond_communication_radius():
+def test_no_delivery_beyond_communication_radius(force_state):
     cfg = small_config(n_nodes=2, duration=10.0)
     world = deploy(cfg, positions=[(0.0, 0.0), (25.0, 0.0)], initial_sleeps=[1e9, 1.0])
     a, b = world.nodes
@@ -252,7 +243,7 @@ def test_dead_sender_cannot_broadcast():
         world.broadcast(node, ProbeRequest(0, node.position), 0.5)
 
 
-def test_first_valid_reply_wins_and_later_ones_find_radio_off():
+def test_first_valid_reply_wins_and_later_ones_find_radio_off(force_state):
     # two guards (out of each other's range) answer one prober; the second
     # reply arrives after the prober already went back to sleep
     cfg = small_config(n_nodes=3, duration=20.0, collisions=False)
@@ -279,7 +270,7 @@ def test_first_valid_reply_wins_and_later_ones_find_radio_off():
     "frame's start, so a reply scheduled later drops frames that an earlier "
     "reply, put on the air after it, still overlaps",
 )
-def test_out_of_order_reply_starts_still_collide_at_the_prober():
+def test_out_of_order_reply_starts_still_collide_at_the_prober(force_state):
     cfg = small_config(n_nodes=4, duration=10.0)
     world = deploy(
         cfg,
@@ -400,7 +391,7 @@ def test_guard_dead_of_depletion_leaves_no_coverage():
     assert result.recoveries == []  # died of its budget, not by injection
 
 
-def test_sampler_sees_active_ids_written_between_samples():
+def test_sampler_sees_active_ids_written_between_samples(force_state):
     cfg = small_config(n_nodes=2)
     world = deploy(cfg, positions=[(10.0, 10.0), (40.0, 40.0)], initial_sleeps=[1e9, 1e9])
     _record_sample(world, 0.0)

@@ -33,22 +33,20 @@ def test_active_baseline_node_never_stands_down():
     node = SensorNode(id=1, x=0.0, y=0.0, state=NodeState.PROBING)
     change_state(node, NodeState.ACTIVE)
     node.activity_start = 0.0
-    reply = ProbeReply(sender_id=2, sender_position=(1.0, 0.0, 0.0), activity_age=500.0)
+    reply = ProbeReply(sender_id=2, sender_position=(1.0, 0.0), activity_age=500.0)
     cfg = SimConfig(protocol="peas")
     assert on_withdrawal_check(node, reply, cfg, now=10.0, r=0.5) is False
     assert node.state is NodeState.ACTIVE
 
 
-def test_reply_within_probing_range_resets_exponential_sleep():
+def test_reply_within_probing_range_resets_exponential_sleep(force_state):
     cfg = SimConfig(
         n_nodes=2, duration=10.0, seed=1, protocol="peas", loss_probability=0.0
     )
     world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
     guard, prober = world.nodes
-    guard.state = NodeState.ACTIVE
+    force_state(world, guard, NodeState.ACTIVE)
     guard.activity_start = 0.0
-    world._radio_on.add(guard.id)
-    world._active_ids.add(guard.id)
     rate_before = prober.probe_rate
     run(world)
     assert prober.state is NodeState.SLEEPING
@@ -56,17 +54,15 @@ def test_reply_within_probing_range_resets_exponential_sleep():
     assert world.withdrawals == 0
 
 
-def test_reply_handler_is_looked_up_when_the_reply_arrives(monkeypatch):
+def test_reply_handler_is_looked_up_when_the_reply_arrives(monkeypatch, force_state):
     # replacing the policy's handler after deploy reroutes the run's replies
     cfg = SimConfig(
         n_nodes=2, duration=10.0, seed=1, protocol="peas", loss_probability=0.0
     )
     world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
     guard, prober = world.nodes
-    guard.state = NodeState.ACTIVE
+    force_state(world, guard, NodeState.ACTIVE)
     guard.activity_start = 0.0
-    world._radio_on.add(guard.id)
-    world._active_ids.add(guard.id)
     calls = []
     real = peas_mod.on_probe_reply
 
@@ -80,7 +76,7 @@ def test_reply_handler_is_looked_up_when_the_reply_arrives(monkeypatch):
     assert prober.state is NodeState.SLEEPING
 
 
-def test_reply_from_beyond_probing_range_is_ignored():
+def test_reply_from_beyond_probing_range_is_ignored(force_state):
     cfg = SimConfig(
         n_nodes=2,
         duration=10.0,
@@ -91,10 +87,8 @@ def test_reply_from_beyond_probing_range_is_ignored():
     )
     world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
     guard, prober = world.nodes
-    guard.state = NodeState.ACTIVE
+    force_state(world, guard, NodeState.ACTIVE)
     guard.activity_start = 0.0
-    world._radio_on.add(guard.id)
-    world._active_ids.add(guard.id)
     run(world)
     # the guard answered but sits outside the acceptance range: the prober
     # exhausts its budget and goes on duty permanently
@@ -112,7 +106,7 @@ def test_active_set_is_monotone_nondecreasing():
 def test_baseline_probe_rate_is_time_invariant():
     cfg = SimConfig(n_nodes=80, duration=1500.0, seed=5, protocol="peas")
     world = deploy(cfg)
-    expected = cfg.peas_rate
+    expected = peas_mod.wake_rate(cfg)
     assert expected == matched_rate(cfg.lambda_init, cfg.beta)
     run(world)
     assert all(node.probe_rate == expected for node in world.nodes)

@@ -1,0 +1,54 @@
+"""Post-run engine invariants over small random configs, both policies."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sentinelsim.analysis import metrics_to_csv, overhead_report
+from sentinelsim.engine import PROTOCOLS, EnergyModel, SimConfig, deploy, run, simulate
+from sentinelsim.protocol import NodeState
+
+LEDGER_TOLERANCE = 1e-9
+
+configs = st.builds(
+    SimConfig,
+    n_nodes=st.integers(0, 30),
+    duration=st.floats(0.0, 300.0),
+    seed=st.integers(0, 2**16),
+    protocol=st.sampled_from(PROTOCOLS),
+    collisions=st.booleans(),
+    loss_probability=st.floats(0.0, 0.5),
+    k_probes=st.integers(1, 3),
+    # a few joules run out within the run, so the depletion path is exercised
+    energy=st.one_of(
+        st.just(EnergyModel()),
+        st.builds(EnergyModel, initial_energy=st.floats(0.5, 3.0)),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs)
+def test_finished_run_keeps_the_engine_invariants(cfg):
+    world = deploy(cfg)
+    result = run(world)
+
+    def ids(*states):
+        return {node.id for node in world.nodes if node.state in states}
+
+    assert world._radio_on == ids(NodeState.PROBING, NodeState.ACTIVE)
+    assert world._active_ids == ids(NodeState.ACTIVE)
+    assert world.clock == cfg.duration
+    for node in world.nodes:
+        parts = node.spent_state + node.spent_tx + node.spent_rx
+        assert abs(parts - node.spent_total) <= LEDGER_TOLERANCE * max(1.0, node.spent_total)
+        assert node.spent_total <= node.initial_energy
+
+    rows = result.rows
+    for row in rows:
+        states = row.active_count + row.sleeping_count + row.probing_count + row.dead_count
+        assert states == cfg.n_nodes
+    times = [row.time for row in rows]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[-1] == cfg.duration
+    assert overhead_report(result).replies_conserved
+    assert metrics_to_csv(simulate(cfg).rows) == metrics_to_csv(rows)

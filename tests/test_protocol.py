@@ -56,7 +56,7 @@ def test_wake_opens_probing_round():
     req = on_wake(node, PARAMS, 120.0)
     assert node.state is NodeState.PROBING
     assert node.probes_sent_this_round == 1
-    assert req == ProbeRequest(sender_id=3, sender_position=(1.0, 2.0, 0.0))
+    assert req == ProbeRequest(sender_id=3, sender_position=(1.0, 2.0))
 
 
 def test_wake_with_no_energy_dies_silently():
@@ -79,14 +79,14 @@ def test_wake_on_active_node_is_an_invariant_violation():
 
 def test_active_node_replies_with_its_age():
     node = make_node(nid=9, x=4.0, y=5.0, state=NodeState.ACTIVE, activity_start=100.0)
-    reply = on_probe_request(node, ProbeRequest(1, (0.0, 0.0, 0.0)), now=150.0)
-    assert reply == ProbeReply(sender_id=9, sender_position=(4.0, 5.0, 0.0), activity_age=50.0)
+    reply = on_probe_request(node, ProbeRequest(1, (0.0, 0.0)), now=150.0)
+    assert reply == ProbeReply(sender_id=9, sender_position=(4.0, 5.0), activity_age=50.0)
 
 
 @pytest.mark.parametrize("state", [NodeState.SLEEPING, NodeState.PROBING])
 def test_only_active_nodes_reply(state):
     node = make_node(state=state)
-    assert on_probe_request(node, ProbeRequest(1, (0.0, 0.0, 0.0)), now=5.0) is None
+    assert on_probe_request(node, ProbeRequest(1, (0.0, 0.0)), now=5.0) is None
 
 
 # -- scan_check ----------------------------------------------------------------
@@ -113,7 +113,7 @@ def _probing_node(nid=0, rate=0.01):
 
 def test_valid_reply_updates_rate_and_sleeps():
     node = _probing_node()
-    reply = ProbeReply(sender_id=7, sender_position=(10.0, 0.0, 0.0), activity_age=3.0)
+    reply = ProbeReply(sender_id=7, sender_position=(10.0, 0.0), activity_age=3.0)
     assert on_probe_reply(node, reply, PARAMS, now=100.0, r=0.5) is True
     assert node.state is NodeState.SLEEPING
     # hazard refresh: h(100) at scale 1/0.01 gives 0.02
@@ -126,7 +126,7 @@ def test_valid_reply_updates_rate_and_sleeps():
 
 def test_reply_from_beyond_threshold_is_ignored():
     node = _probing_node()
-    reply = ProbeReply(sender_id=7, sender_position=(30.0, 0.0, 0.0), activity_age=3.0)
+    reply = ProbeReply(sender_id=7, sender_position=(30.0, 0.0), activity_age=3.0)
     assert on_probe_reply(node, reply, PARAMS, now=100.0, r=0.5) is False
     assert node.state is NodeState.PROBING
     assert node.probe_rate == 0.01
@@ -135,7 +135,7 @@ def test_reply_from_beyond_threshold_is_ignored():
 def test_sleep_cancels_pending_timeout_token():
     node = _probing_node()
     token_before = node.timeout_token
-    reply = ProbeReply(sender_id=7, sender_position=(5.0, 0.0, 0.0), activity_age=3.0)
+    reply = ProbeReply(sender_id=7, sender_position=(5.0, 0.0), activity_age=3.0)
     on_probe_reply(node, reply, PARAMS, now=100.0, r=0.5)
     assert node.timeout_token == token_before + 1
 
@@ -183,7 +183,7 @@ def _active_node(nid, x, started, rate=0.01):
 def test_younger_guard_yields():
     now = 100.0
     node = _active_node(nid=2, x=0.0, started=now - 5.0)
-    reply = ProbeReply(sender_id=1, sender_position=(10.0, 0.0, 0.0), activity_age=12.0)
+    reply = ProbeReply(sender_id=1, sender_position=(10.0, 0.0), activity_age=12.0)
     assert on_withdrawal_check(node, reply, PARAMS, now, r=0.5) is True
     assert node.state is NodeState.SLEEPING
     assert node.activity_start is None
@@ -192,7 +192,7 @@ def test_younger_guard_yields():
 def test_older_guard_ignores_younger_reply():
     now = 100.0
     node = _active_node(nid=2, x=0.0, started=now - 12.0)
-    reply = ProbeReply(sender_id=1, sender_position=(10.0, 0.0, 0.0), activity_age=5.0)
+    reply = ProbeReply(sender_id=1, sender_position=(10.0, 0.0), activity_age=5.0)
     assert on_withdrawal_check(node, reply, PARAMS, now, r=0.5) is False
     assert node.state is NodeState.ACTIVE
 
@@ -200,7 +200,7 @@ def test_older_guard_ignores_younger_reply():
 def test_distant_guards_do_not_conflict():
     now = 100.0
     node = _active_node(nid=2, x=0.0, started=now - 5.0)
-    reply = ProbeReply(sender_id=1, sender_position=(20.0, 0.0, 0.0), activity_age=12.0)
+    reply = ProbeReply(sender_id=1, sender_position=(20.0, 0.0), activity_age=12.0)
     assert on_withdrawal_check(node, reply, PARAMS, now, r=0.5) is False
 
 
@@ -208,8 +208,8 @@ def test_age_tie_breaks_on_higher_id():
     now = 100.0
     hi = _active_node(nid=5, x=0.0, started=now - 7.0)
     lo = _active_node(nid=1, x=10.0, started=now - 7.0)
-    from_lo = ProbeReply(sender_id=1, sender_position=(10.0, 0.0, 0.0), activity_age=7.0)
-    from_hi = ProbeReply(sender_id=5, sender_position=(0.0, 0.0, 0.0), activity_age=7.0)
+    from_lo = ProbeReply(sender_id=1, sender_position=(10.0, 0.0), activity_age=7.0)
+    from_hi = ProbeReply(sender_id=5, sender_position=(0.0, 0.0), activity_age=7.0)
     assert on_withdrawal_check(hi, from_lo, PARAMS, now, r=0.5) is True
     assert on_withdrawal_check(lo, from_hi, PARAMS, now, r=0.5) is False
 
@@ -224,8 +224,8 @@ def test_exactly_one_side_of_a_conflict_withdraws():
         age_b = rng.choice([age_a, rng.uniform(0.0, 400.0)])
         a = _active_node(nid=1, x=0.0, started=now - age_a)
         b = _active_node(nid=2, x=5.0, started=now - age_b)
-        from_b = ProbeReply(2, (5.0, 0.0, 0.0), activity_age=age_b)
-        from_a = ProbeReply(1, (0.0, 0.0, 0.0), activity_age=age_a)
+        from_b = ProbeReply(2, (5.0, 0.0), activity_age=age_b)
+        from_a = ProbeReply(1, (0.0, 0.0), activity_age=age_a)
         withdrew = (
             on_withdrawal_check(a, from_b, PARAMS, now, r=0.5),
             on_withdrawal_check(b, from_a, PARAMS, now, r=0.5),
@@ -236,7 +236,7 @@ def test_exactly_one_side_of_a_conflict_withdraws():
 def test_withdrawal_resets_age_and_updates_rate():
     now = 200.0
     node = _active_node(nid=2, x=0.0, started=now - 5.0)
-    reply = ProbeReply(sender_id=1, sender_position=(3.0, 0.0, 0.0), activity_age=50.0)
+    reply = ProbeReply(sender_id=1, sender_position=(3.0, 0.0), activity_age=50.0)
     on_withdrawal_check(node, reply, PARAMS, now, r=0.5)
     assert node.activity_start is None
     assert node.probe_rate == pytest.approx(0.04, rel=1e-12)  # h(200) at scale 100
@@ -247,6 +247,6 @@ def test_withdrawal_resets_age_and_updates_rate():
 
 def test_message_invariants():
     with pytest.raises(ValueError):
-        ProbeRequest(1, (0.0, 0.0, 0.0), size=0)
+        ProbeRequest(1, (0.0, 0.0), size=0)
     with pytest.raises(ValueError):
-        ProbeReply(1, (0.0, 0.0, 0.0), activity_age=-1.0)
+        ProbeReply(1, (0.0, 0.0), activity_age=-1.0)
