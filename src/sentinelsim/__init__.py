@@ -23,7 +23,6 @@ from .engine import (
     SimError,
     World,
     deploy,
-    inject_failure,
     run,
     simulate,
 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -103,9 +103,6 @@ class CoverageGrid:
             raise ValueError(f"resolution must be positive, got {resolution}")
         if width <= 0 or height <= 0:
             raise ValueError(f"field dimensions must be positive, got {width}x{height}")
-        self.width = width
-        self.height = height
-        self.resolution = resolution
         nx = max(1, int(round(width / resolution)))
         ny = max(1, int(round(height / resolution)))
         xs = (np.arange(nx) + 0.5) * resolution
@@ -113,7 +110,6 @@ class CoverageGrid:
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         self.centers_x = gx.ravel()
         self.centers_y = gy.ravel()
-        self.cells = np.zeros(nx * ny, dtype=bool)
 
 
 def coverage_fraction(
@@ -123,15 +119,14 @@ def coverage_fraction(
 ) -> float:
     """Fraction of grid cell centers within r_sense of at least one active node."""
     if not len(active_positions):
-        grid.cells[:] = False
         return 0.0
     ax = np.array([p[0] for p in active_positions])
     ay = np.array([p[1] for p in active_positions])
     d2 = (grid.centers_x[:, None] - ax[None, :]) ** 2 + (
         grid.centers_y[:, None] - ay[None, :]
     ) ** 2
-    grid.cells = (d2 <= r_sense * r_sense).any(axis=1)
-    return int(np.count_nonzero(grid.cells)) / grid.cells.size
+    covered = (d2 <= r_sense * r_sense).any(axis=1)
+    return int(np.count_nonzero(covered)) / covered.size
 
 
 def recovery_latency(
@@ -203,6 +198,8 @@ def compare_runs(sentinel: RunResult, baseline: RunResult) -> float:
             )
     if a.energy != b.energy:
         raise ValueError("runs are not comparable: energy models differ")
+    if baseline.n_nodes == 0:
+        raise ValueError("runs have no nodes; ratio undefined")
     base = baseline.total_energy / baseline.n_nodes
     sent = sentinel.total_energy / sentinel.n_nodes
     if base == 0.0:
@@ -236,15 +233,10 @@ def write_metrics_csv(rows: Sequence[MetricsRecord], path) -> None:
 
 def summary_to_json(report: SummaryReport, config=None) -> str:
     """Serialize a summary; unrecovered holes become null latencies."""
-    payload = {
-        "avg_energy_per_node": report.avg_energy_per_node,
-        "energy_ratio_vs_baseline": report.energy_ratio_vs_baseline,
-        "mean_coverage": report.mean_coverage,
-        "false_activation_fraction": report.false_activation_fraction,
-        "recovery_latencies": [
-            None if math.isinf(lat) else lat for lat in report.recovery_latencies
-        ],
-    }
+    payload = asdict(report)
+    payload["recovery_latencies"] = [
+        None if math.isinf(lat) else lat for lat in report.recovery_latencies
+    ]
     if config is not None:
         payload["config"] = {
             "protocol": config.protocol,

@@ -50,10 +50,6 @@ _SIM_FIELDS = typing.get_type_hints(SimConfig)
 _ENERGY_FIELDS = typing.get_type_hints(EnergyModel)
 _FIELD_TYPES = {**_SIM_FIELDS, **_ENERGY_FIELDS}
 
-_BOOL_KEYS = {k for k, t in _FIELD_TYPES.items() if t is bool}
-_INT_KEYS = {k for k, t in _FIELD_TYPES.items() if t is int}
-_OPTIONAL_FLOAT_KEYS = {k for k, t in _FIELD_TYPES.items() if t == float | None}
-
 # SimConfig fields a [sweep] cannot vary, with a hint where one helps.
 _UNSWEEPABLE = {
     "energy": "",
@@ -98,29 +94,39 @@ class ExperimentSpec:
                 raise ValueError(problem)
             if not values:
                 raise ValueError(f"sweep parameter {name!r} has no values")
-        if not self.sweep:
-            self.base.validate()
-            return
+        seen = set()
         for point, overrides in _sweep_points(self):
+            config = replace(self.base, **overrides)
             try:
-                replace(self.base, **overrides).validate()
+                if point in seen:  # its runs would overwrite the other point's
+                    raise ValueError("another point has the same name")
+                seen.add(point)
+                config.validate()
+                if self.protocol == "both" and (config.n_nodes == 0 or config.duration == 0):
+                    raise ValueError(
+                        "protocol = both needs n_nodes >= 1 and duration > 0, "
+                        "or the energy saving is undefined"
+                    )
             except ValueError as exc:
+                if not self.sweep:
+                    raise
                 raise SweepPointError(f"sweep point {point!r}: {exc}") from exc
 
 
 def _parse_scalar(key: str, raw: str, lineno: int):
     raw = raw.strip()
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "1", "yes", "on"):
                 return True
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"expected a boolean, got {raw!r}")
-        if key in _INT_KEYS:
+        if kind is int:
             return int(raw)
-        if key in _OPTIONAL_FLOAT_KEYS:
+        if kind == float | None:
             return None if raw.lower() == "none" else float(raw)
         return float(raw)
     except ValueError as exc:
@@ -237,19 +243,6 @@ def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, dict]]:
     return points
 
 
-SWEEP_SUMMARY_COLUMNS = (
-    "point",
-    "protocol",
-    "replication",
-    "seed",
-    "avg_energy_per_node",
-    "total_energy",
-    "mean_coverage",
-    "false_activation_fraction",
-    "energy_saving_vs_peas",
-)
-
-
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute every sweep point x replication, writing per-run metrics.csv and
     summary.json plus a top-level sweep_summary.csv. Returns the exit code;
@@ -257,7 +250,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     spec.validate()
     out_root = spec.output_dir
     out_root.mkdir(parents=True, exist_ok=True)
-    summary_lines = [",".join(SWEEP_SUMMARY_COLUMNS)]
+    summary_rows: list[dict[str, str]] = []
     protocols = PROTOCOLS if spec.protocol == "both" else (spec.protocol,)
     for point_name, overrides in _sweep_points(spec):
         point_dir = out_root / point_name
@@ -280,35 +273,37 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 for proto in protocols:
                     cfg, result = results[proto]
                     report = summarize(result)
-                    if proto == "sentinel" and saving is not None:
+                    if proto == "sentinel":
                         report.energy_ratio_vs_baseline = saving
                     run_dir = point_dir / f"{proto}_rep{rep}"
                     run_dir.mkdir(parents=True, exist_ok=True)
                     write_metrics_csv(result.rows, run_dir / "metrics.csv")
                     (run_dir / "summary.json").write_text(summary_to_json(report, cfg))
-                    summary_lines.append(
-                        ",".join(
-                            (
-                                point_name,
-                                proto,
-                                str(rep),
-                                str(seed),
-                                format_csv_value(report.avg_energy_per_node),
-                                format_csv_value(result.total_energy),
-                                format_csv_value(report.mean_coverage),
-                                format_csv_value(report.false_activation_fraction),
-                                format_csv_value(saving)
-                                if proto == "sentinel" and saving is not None
-                                else "",
-                            )
-                        )
+                    ratio = report.energy_ratio_vs_baseline
+                    summary_rows.append(
+                        {
+                            "point": point_name,
+                            "protocol": proto,
+                            "replication": str(rep),
+                            "seed": str(seed),
+                            "avg_energy_per_node": format_csv_value(report.avg_energy_per_node),
+                            "total_energy": format_csv_value(result.total_energy),
+                            "mean_coverage": format_csv_value(report.mean_coverage),
+                            "false_activation_fraction": format_csv_value(
+                                report.false_activation_fraction
+                            ),
+                            "energy_saving_vs_peas": (
+                                "" if ratio is None else format_csv_value(ratio)
+                            ),
+                        }
                     )
         except Exception as exc:
             if point_dir.exists():
                 shutil.rmtree(point_dir)
             print(f"error: sweep point {point_name!r} failed: {exc}", file=sys.stderr)
             return 2
-    (out_root / "sweep_summary.csv").write_text("\n".join(summary_lines) + "\n")
+    lines = [",".join(summary_rows[0])] + [",".join(row.values()) for row in summary_rows]
+    (out_root / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 

@@ -182,11 +182,10 @@ def _require_finite(obj) -> None:
 class Frame:
     """One transmission on the air: interval, audience, and per-receiver fate."""
 
-    __slots__ = ("msg", "sender_id", "start", "end", "receivers", "dropped")
+    __slots__ = ("msg", "start", "end", "receivers", "dropped")
 
-    def __init__(self, msg, sender_id: int, start: float, end: float):
+    def __init__(self, msg, start: float, end: float):
         self.msg = msg
-        self.sender_id = sender_id
         self.start = start
         self.end = end
         self.receivers: list[int] = []
@@ -205,7 +204,8 @@ class World:
         self.rng = random.Random(config.seed)
         self.nodes: list[SensorNode] = []
         self.neighbor_sets: list[frozenset[int]] = []
-        self.rows: list[MetricsRecord] = []
+        # the run log, filled in place as the run goes; run returns it
+        self.result = RunResult(config=config, rows=[])
         # cumulative control-traffic counters
         self.probes_sent = 0
         self.probes_received = 0
@@ -213,16 +213,12 @@ class World:
         self.replies_received = 0
         self.collisions = 0
         self.withdrawals = 0
-        self.false_activation_ids: set[int] = set()
-        self.activations: list[tuple[float, int]] = []
-        self.conflict_ages: list[tuple[float, float]] = []
         self._heap: list[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
         self._inflight: dict[int, list[Frame]] = {}
         self._radio_on: set[int] = set()
         self._active_ids: set[int] = set()
         self._conflicts: dict[tuple[int, int], float] = {}
-        self._holes: list[RecoveryEvent] = []
         self._grid = CoverageGrid(
             config.field_width, config.field_height, config.coverage_resolution
         )
@@ -306,14 +302,15 @@ class World:
                 pair = (oid, node.id) if oid < node.id else (node.id, oid)
                 self._conflicts[pair] = now
         if redundant:
-            self.false_activation_ids.add(node.id)
+            self.result.false_activation_ids.add(node.id)
         self._active_ids.add(node.id)
-        self.activations.append((now, node.id))
-        for i, hole in enumerate(self._holes):
+        self.result.activations.append((now, node.id))
+        holes = self.result.recoveries
+        for i, hole in enumerate(holes):
             if hole.recovered_at is None:
                 d = math.hypot(node.x - hole.position[0], node.y - hole.position[1])
                 if d <= self.config.delta:
-                    self._holes[i] = replace(hole, recovered_at=now)
+                    holes[i] = replace(hole, recovered_at=now)
 
     def _leave_active(self, node: SensorNode) -> None:
         self._active_ids.discard(node.id)
@@ -336,8 +333,8 @@ class World:
         if sender.state is NodeState.DEAD or not sender.radio_on:
             raise SimError(f"node {sender.id} cannot transmit in state {sender.state.name}")
         cfg = self.config
-        end = start + msg.size * 8.0 / cfg.bitrate
-        frame = Frame(msg, sender.id, start, end)
+        end = start + cfg.airtime
+        frame = Frame(msg, start, end)
         loss = cfg.loss_probability
         neighbors = self.neighbor_sets[sender.id]
         for rid in sorted(self._radio_on & neighbors):
@@ -439,21 +436,11 @@ def deploy(
 
     for node in world.nodes:
         world.push(node.wake_deadline, EventKind.WAKE, node.id)
+    # Hardware failures: the node dies at its time regardless of its remaining
+    # energy. Killing an already dead node is a no-op at run time.
     for node_id, when in config.failure_injections:
-        inject_failure(world, node_id, when)
+        world.push(when, EventKind.FAILURE_INJECTION, node_id)
     return world
-
-
-def inject_failure(world: World, node_id: int, time: float) -> None:
-    """Schedule a hardware failure: the node dies at `time` regardless of its
-    remaining energy. Killing an already dead node is a no-op at run time."""
-    if not 0 <= node_id < len(world.nodes):
-        raise ValueError(f"unknown node id {node_id}")
-    if not 0.0 <= time <= world.config.duration:
-        raise ValueError(
-            f"failure time {time} outside the run duration {world.config.duration}"
-        )
-    world.push(time, EventKind.FAILURE_INJECTION, node_id)
 
 
 def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
@@ -532,7 +519,8 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
         <= world.config.delta
         for oid in world._active_ids
     )
-    world._holes.append(RecoveryEvent(node.id, now, node.position, now if covered else None))
+    hole = RecoveryEvent(node.id, now, node.position, now if covered else None)
+    world.result.recoveries.append(hole)
 
 
 def _record_sample(world: World, now: float) -> None:
@@ -549,7 +537,7 @@ def _record_sample(world: World, now: float) -> None:
         actives = [(world.nodes[i].x, world.nodes[i].y) for i in ids]
         world._sampled_coverage = coverage_fraction(actives, world.config.r_sense, world._grid)
         world._sampled_ids = ids
-    world.rows.append(
+    world.result.rows.append(
         MetricsRecord(
             time=now,
             active_count=counts[NodeState.ACTIVE],
@@ -567,11 +555,11 @@ def _record_sample(world: World, now: float) -> None:
         )
     )
     oldest = max((now - t for t in world._conflicts.values()), default=0.0)
-    world.conflict_ages.append((now, oldest))
+    world.result.conflict_ages.append((now, oldest))
 
 
 def run(world: World, duration: float | None = None) -> RunResult:
-    """Drive the event loop until the end-of-run marker and return the log."""
+    """Drive the event loop until the end-of-run marker; return world.result."""
     if world._finished:
         raise SimError("world has already been run")
     cfg = world.config
@@ -612,17 +600,11 @@ def run(world: World, duration: float | None = None) -> RunResult:
         elif kind is EventKind.END_OF_RUN:
             break
 
-    if not world.rows or world.rows[-1].time != duration:
+    rows = world.result.rows
+    if not rows or rows[-1].time != duration:
         _record_sample(world, duration)
     world._finished = True
-    return RunResult(
-        config=cfg,
-        rows=list(world.rows),
-        recoveries=list(world._holes),
-        false_activation_ids=set(world.false_activation_ids),
-        conflict_ages=list(world.conflict_ages),
-        activations=list(world.activations),
-    )
+    return world.result
 
 
 def simulate(config: SimConfig) -> RunResult:

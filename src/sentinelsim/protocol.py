@@ -18,8 +18,6 @@ from .scheduling import WeibullParams, sample_sleep_time, update_probe_rate
 if TYPE_CHECKING:
     from .engine import SimConfig
 
-DEFAULT_MSG_SIZE = 25  # octets
-
 
 class ProtocolError(RuntimeError):
     """An illegal state transition or handler precondition violation."""
@@ -52,11 +50,6 @@ class ProbeRequest:
 
     sender_id: int
     sender_position: tuple[float, float]
-    size: int = DEFAULT_MSG_SIZE
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"message size must be positive, got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -70,13 +63,10 @@ class ProbeReply:
     sender_id: int
     sender_position: tuple[float, float]
     activity_age: float
-    size: int = DEFAULT_MSG_SIZE
 
     def __post_init__(self) -> None:
         if self.activity_age < 0:
             raise ValueError(f"activity_age must be >= 0, got {self.activity_age}")
-        if self.size <= 0:
-            raise ValueError(f"message size must be positive, got {self.size}")
 
 
 @dataclass
@@ -191,9 +181,7 @@ def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest | N
         )
     change_state(node, NodeState.PROBING)
     node.probes_sent_this_round = 1
-    return ProbeRequest(
-        sender_id=node.id, sender_position=node.position, size=config.msg_size
-    )
+    return ProbeRequest(sender_id=node.id, sender_position=node.position)
 
 
 def on_probe_request(node: SensorNode, msg: ProbeRequest, now: float) -> ProbeReply | None:
@@ -208,7 +196,6 @@ def on_probe_request(node: SensorNode, msg: ProbeRequest, now: float) -> ProbeRe
         sender_id=node.id,
         sender_position=node.position,
         activity_age=now - node.activity_start,
-        size=msg.size,
     )
 
 
@@ -245,9 +232,7 @@ def on_reply_timeout(node: SensorNode, config: SimConfig, now: float) -> ProbeRe
         )
     if node.probes_sent_this_round < config.k_probes:
         node.probes_sent_this_round += 1
-        return ProbeRequest(
-            sender_id=node.id, sender_position=node.position, size=config.msg_size
-        )
+        return ProbeRequest(sender_id=node.id, sender_position=node.position)
     change_state(node, NodeState.ACTIVE)
     node.activity_start = now
     node.probes_sent_this_round = 0

@@ -1,8 +1,9 @@
 """The names benchmark/ binds to in the package stay in place.
 
 The benchmark wraps these functions by name to time each layer, and its run
-capture calls `engine.run` with a positional duration. Removing or renaming
-one of them fails every benchmark operation, so it is checked here.
+capture calls `engine.run` with a positional duration and checks each
+captured world and result. Removing or renaming one of them fails every
+benchmark operation, so it is checked here.
 """
 
 from pathlib import Path
@@ -22,6 +23,14 @@ def tracer(monkeypatch):
     import tracer
 
     return tracer
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    return workloads
 
 
 def test_every_traced_name_resolves_to_a_callable(tracer):
@@ -44,3 +53,11 @@ def test_run_accepts_a_positional_none_duration():
     result = engine.run(engine.deploy(SimConfig(n_nodes=3, duration=5.0)), None)
     assert isinstance(result, RunResult)
     assert result.rows[-1].time == 5.0
+
+
+def test_captured_run_passes_the_benchmark_checks(workloads):
+    with workloads.capture_runs() as pairs:
+        engine.simulate(SimConfig(n_nodes=10, duration=30.0, seed=2))
+    assert len(pairs) == 1
+    world, result = pairs[0]
+    assert workloads.run_problems(world, result) == []

@@ -130,8 +130,14 @@ def test_paired_protocols_share_seed_and_report_ratio(tmp_path):
     sent = json.loads((point / "sentinel_rep0" / "summary.json").read_text())
     assert sent["energy_ratio_vs_baseline"] is not None
     lines = (spec.output_dir / "sweep_summary.csv").read_text().splitlines()
+    assert lines[0] == (
+        "point,protocol,replication,seed,avg_energy_per_node,total_energy,"
+        "mean_coverage,false_activation_fraction,energy_saving_vs_peas"
+    )
     sent_row = next(line for line in lines[1:] if ",sentinel," in line)
     assert sent_row.split(",")[-1] != ""
+    peas_row = next(line for line in lines[1:] if ",peas," in line)
+    assert peas_row.split(",")[-1] == ""
 
 
 def test_sweep_creates_one_directory_per_point(tmp_path):
@@ -186,6 +192,9 @@ def test_main_overrides_and_exit_codes(tmp_path):
         ("peas_probing_range = 0", ["peas_probing_range"]),
         ("duration = nan", ["duration", "finite"]),
         ("[sweep]\nt_w = 1, inf", ["line 2", "t_w"]),
+        ("[sweep]\ndelta = 10.0000001, 10.0000002", ["line 2", "delta_10"]),
+        ("protocol = both\nn_nodes = 0\nduration = 100", ["protocol = both", "n_nodes"]),
+        ("protocol = both\nduration = 0\nn_nodes = 10", ["protocol = both", "duration"]),
     ],
     ids=[
         "invalid_base",
@@ -196,6 +205,9 @@ def test_main_overrides_and_exit_codes(tmp_path):
         "zero_peas_range",
         "nan_duration",
         "infinite_sweep_value",
+        "colliding_point_names",
+        "paired_no_nodes",
+        "paired_zero_duration",
     ],
 )
 def test_main_reports_config_errors(tmp_path, capsys, text, expected):

@@ -9,7 +9,7 @@ from sentinelsim.protocol import NodeState
 
 LEDGER_TOLERANCE = 1e-9
 
-configs = st.builds(
+plain_configs = st.builds(
     SimConfig,
     n_nodes=st.integers(0, 30),
     duration=st.floats(0.0, 300.0),
@@ -26,11 +26,22 @@ configs = st.builds(
 )
 
 
+@st.composite
+def configs(draw):
+    """A plain config plus up to three failure injections inside the run."""
+    cfg = draw(plain_configs)
+    if cfg.n_nodes:
+        injection = st.tuples(st.integers(0, cfg.n_nodes - 1), st.floats(0.0, cfg.duration))
+        cfg.failure_injections = draw(st.lists(injection, max_size=3))
+    return cfg
+
+
 @settings(max_examples=200, deadline=None)
-@given(configs)
+@given(configs())
 def test_finished_run_keeps_the_engine_invariants(cfg):
     world = deploy(cfg)
     result = run(world)
+    assert result is world.result
 
     def ids(*states):
         return {node.id for node in world.nodes if node.state in states}
@@ -51,4 +62,14 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
     assert all(a < b for a, b in zip(times, times[1:]))
     assert times[-1] == cfg.duration
     assert overhead_report(result).replies_conserved
-    assert metrics_to_csv(simulate(cfg).rows) == metrics_to_csv(rows)
+
+    injections = set(cfg.failure_injections)
+    assert all(world.nodes[nid].state is NodeState.DEAD for nid, _ in injections)
+    assert len(result.recoveries) <= len(cfg.failure_injections)
+    for hole in result.recoveries:
+        assert (hole.node_id, hole.time) in injections
+        assert hole.recovered_at is None or hole.time <= hole.recovered_at <= cfg.duration
+
+    replay = simulate(cfg)
+    assert metrics_to_csv(replay.rows) == metrics_to_csv(rows)
+    assert replay.recoveries == result.recoveries

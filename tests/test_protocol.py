@@ -247,6 +247,4 @@ def test_withdrawal_resets_age_and_updates_rate():
 
 def test_message_invariants():
     with pytest.raises(ValueError):
-        ProbeRequest(1, (0.0, 0.0), size=0)
-    with pytest.raises(ValueError):
         ProbeReply(1, (0.0, 0.0), activity_age=-1.0)
