@@ -186,9 +186,10 @@ def summarize(result: RunResult) -> SummaryReport:
     )
 
 
-def compare_runs(sentinel: RunResult, baseline: RunResult) -> float:
+def compare_runs(sentinel: RunResult, baseline: RunResult) -> float | None:
     """Relative energy saving of the sentinel run over the baseline run:
-    (baseline_avg - sentinel_avg) / baseline_avg. Negative means worse."""
+    (baseline_avg - sentinel_avg) / baseline_avg. Negative means worse; None
+    when the baseline consumed no energy, so there is no saving to speak of."""
     a, b = sentinel.config, baseline.config
     for name in ("seed", "n_nodes", "field_width", "field_height", "duration"):
         if getattr(a, name) != getattr(b, name):
@@ -203,7 +204,7 @@ def compare_runs(sentinel: RunResult, baseline: RunResult) -> float:
     base = baseline.total_energy / baseline.n_nodes
     sent = sentinel.total_energy / sentinel.n_nodes
     if base == 0.0:
-        raise ValueError("baseline consumed no energy; ratio undefined")
+        return None
     return (base - sent) / base
 
 

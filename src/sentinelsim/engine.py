@@ -217,7 +217,6 @@ class World:
         self._seq = 0
         self._inflight: dict[int, list[Frame]] = {}
         self._radio_on: set[int] = set()
-        self._active_ids: set[int] = set()
         self._conflicts: dict[tuple[int, int], float] = {}
         self._grid = CoverageGrid(
             config.field_width, config.field_height, config.coverage_resolution
@@ -255,9 +254,7 @@ class World:
         setattr(node, category, getattr(node, category) + budget)
         node.spent_total = node.initial_energy
         if node.state is not NodeState.DEAD:
-            prev = node.state
-            change_state(node, NodeState.DEAD)
-            self._sync_state(node, prev, now)
+            self.set_state(node, NodeState.DEAD, now)
 
     def charge(self, node: SensorNode, now: float) -> None:
         """Advance the node's state-power integral to `now`, applying death by
@@ -277,6 +274,13 @@ class World:
 
     # -- state bookkeeping ----------------------------------------------------
 
+    def set_state(self, node: SensorNode, new: NodeState, now: float) -> None:
+        """Move a node to `new` outside a protocol handler, with the engine's
+        books; an illegal move raises ProtocolError and changes nothing."""
+        prev = node.state
+        change_state(node, new)
+        self._sync_state(node, prev, now)
+
     def _sync_state(self, node: SensorNode, prev: NodeState, now: float) -> None:
         """Engine-side consequences of a protocol state transition."""
         state = node.state
@@ -286,24 +290,27 @@ class World:
             self._enter_active(node, now)
         else:  # SLEEPING or DEAD
             self._radio_on.discard(node.id)
-            if prev is NodeState.ACTIVE:
-                self._leave_active(node)
+            if prev is NodeState.ACTIVE and self._conflicts:
+                nid = node.id
+                self._conflicts = {
+                    pair: t for pair, t in self._conflicts.items() if nid not in pair
+                }
             if state is NodeState.SLEEPING:
                 self.push(node.wake_deadline, EventKind.WAKE, node.id)
 
     def _enter_active(self, node: SensorNode, now: float) -> None:
         redundant = False
-        for oid in self._active_ids:
-            other = self.nodes[oid]
+        for other in self.nodes:
+            if other.state is not NodeState.ACTIVE or other is node:
+                continue
             d = math.hypot(node.x - other.x, node.y - other.y)
             if d <= self.config.delta:
                 redundant = True
             if d < self.config.delta:
-                pair = (oid, node.id) if oid < node.id else (node.id, oid)
+                pair = (other.id, node.id) if other.id < node.id else (node.id, other.id)
                 self._conflicts[pair] = now
         if redundant:
             self.result.false_activation_ids.add(node.id)
-        self._active_ids.add(node.id)
         self.result.activations.append((now, node.id))
         holes = self.result.recoveries
         for i, hole in enumerate(holes):
@@ -311,14 +318,6 @@ class World:
                 d = math.hypot(node.x - hole.position[0], node.y - hole.position[1])
                 if d <= self.config.delta:
                     holes[i] = replace(hole, recovered_at=now)
-
-    def _leave_active(self, node: SensorNode) -> None:
-        self._active_ids.discard(node.id)
-        if self._conflicts:
-            nid = node.id
-            self._conflicts = {
-                pair: t for pair, t in self._conflicts.items() if nid not in pair
-            }
 
     # -- radio ----------------------------------------------------------------
 
@@ -330,7 +329,7 @@ class World:
         audible at that receiver, all overlapping frames die there and the
         collision counter ticks once per overlap event.
         """
-        if sender.state is NodeState.DEAD or not sender.radio_on:
+        if sender.id not in self._radio_on:
             raise SimError(f"node {sender.id} cannot transmit in state {sender.state.name}")
         cfg = self.config
         end = start + cfg.airtime
@@ -369,7 +368,7 @@ class World:
 
     @property
     def active_ids(self) -> set[int]:
-        return set(self._active_ids)
+        return {n.id for n in self.nodes if n.state is NodeState.ACTIVE}
 
 
 def _uniform_open(rng: random.Random) -> float:
@@ -465,13 +464,11 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
     cfg = world.config
     e_rx = cfg.energy.e_rx
     for rid in frame.receivers:
-        if rid in frame.dropped:
-            continue
+        if rid in frame.dropped or rid not in world._radio_on:
+            continue  # lost, or slept or died while the frame was in the air
         node = world.nodes[rid]
-        if not node.radio_on:
-            continue  # slept or died while the frame was in the air
         world.charge(node, now)
-        if not node.radio_on:
+        if rid not in world._radio_on:
             continue
         if e_rx < node.initial_energy - node.spent_total:
             node.spent_rx += e_rx
@@ -511,13 +508,11 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
         return
     world.charge(node, now)
     if node.state is not NodeState.DEAD:
-        prev = node.state
-        change_state(node, NodeState.DEAD)
-        world._sync_state(node, prev, now)
+        world.set_state(node, NodeState.DEAD, now)
     covered = any(
-        math.hypot(node.x - world.nodes[oid].x, node.y - world.nodes[oid].y)
-        <= world.config.delta
-        for oid in world._active_ids
+        math.hypot(node.x - other.x, node.y - other.y) <= world.config.delta
+        for other in world.nodes
+        if other.state is NodeState.ACTIVE
     )
     hole = RecoveryEvent(node.id, now, node.position, now if covered else None)
     world.result.recoveries.append(hole)
@@ -526,13 +521,18 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
 def _record_sample(world: World, now: float) -> None:
     counts = [0] * len(NodeState)
     charge = world.charge
+    active = NodeState.ACTIVE
+    guards: list[int] = []
+    append = guards.append
     for node in world.nodes:
         charge(node, now)  # a depletion here changes only this node's state
-        counts[node.state] += 1
+        state = node.state
+        counts[state] += 1
+        if state is active:
+            append(node.id)
     # Coverage depends only on which nodes are on duty, and that set rarely
-    # changes between samples; it is keyed on the set's content, since a
-    # scenario may write _active_ids directly.
-    ids = tuple(sorted(world._active_ids))
+    # changes between samples, so it is recomputed only when the set moves.
+    ids = tuple(guards)
     if ids != world._sampled_ids:
         actives = [(world.nodes[i].x, world.nodes[i].y) for i in ids]
         world._sampled_coverage = coverage_fraction(actives, world.config.r_sense, world._grid)

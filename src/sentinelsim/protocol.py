@@ -102,10 +102,6 @@ class SensorNode:
     def energy_remaining(self) -> float:
         return max(0.0, self.initial_energy - self.spent_total)
 
-    @property
-    def radio_on(self) -> bool:
-        return self.state in (NodeState.PROBING, NodeState.ACTIVE)
-
 
 def change_state(node: SensorNode, new: NodeState) -> None:
     """Apply a lifecycle transition, aborting on any move outside the allowed set."""

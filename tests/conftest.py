@@ -6,15 +6,14 @@ from sentinelsim.protocol import NodeState
 
 
 def _force_state(world, node, state):
-    """Place a node into a lifecycle state with the engine's books."""
-    node.state = state
-    if state in (NodeState.PROBING, NodeState.ACTIVE):
-        world._radio_on.add(node.id)
-    if state is NodeState.ACTIVE:
-        world._active_ids.add(node.id)
+    """Place a node into a lifecycle state through World.set_state at the
+    world's clock, via PROBING when the target is ACTIVE."""
+    if state is NodeState.ACTIVE and node.state is not NodeState.PROBING:
+        world.set_state(node, NodeState.PROBING, world.clock)
+    world.set_state(node, state, world.clock)
 
 
 @pytest.fixture
 def force_state():
-    """Test hook: the one place tests write the engine's private state sets."""
+    """Test hook: place nodes into engineered states with the engine's books."""
     return _force_state

@@ -239,6 +239,12 @@ def test_mismatched_configs_rejected():
         compare_runs(a, c)
 
 
+def test_idle_baseline_has_no_ratio():
+    sent = make_result(SimConfig(n_nodes=10), [make_row(total_energy_consumed=1.0)])
+    peas = make_result(SimConfig(n_nodes=10), [make_row(total_energy_consumed=0.0)])
+    assert compare_runs(sent, peas) is None
+
+
 def test_runs_without_nodes_have_no_ratio():
     # the saving is per node: with none it is undefined, not a division by zero
     sent = simulate(SimConfig(n_nodes=0, duration=100.0, protocol="sentinel"))

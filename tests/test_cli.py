@@ -140,6 +140,20 @@ def test_paired_protocols_share_seed_and_report_ratio(tmp_path):
     assert peas_row.split(",")[-1] == ""
 
 
+def test_paired_run_with_an_idle_baseline_leaves_the_saving_empty(tmp_path):
+    # every node sleeps through the run at zero draw, so the baseline uses
+    # no energy and the saving is undefined: an empty cell, not a failure
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("protocol = both\nn_nodes = 3\nduration = 0.001\n[energy]\np_sleep = 0\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--output", str(out)]) == 0
+    sent = json.loads((out / "base" / "sentinel_rep0" / "summary.json").read_text())
+    assert sent["energy_ratio_vs_baseline"] is None
+    lines = (out / "sweep_summary.csv").read_text().splitlines()
+    sent_row = next(line for line in lines[1:] if ",sentinel," in line)
+    assert sent_row.split(",")[-1] == ""
+
+
 def test_sweep_creates_one_directory_per_point(tmp_path):
     spec = parse_config(FAST + "[sweep]\nn_nodes = 10, 20")
     spec.output_dir = tmp_path / "out"

@@ -17,7 +17,7 @@ from sentinelsim.engine import (
     run,
     simulate,
 )
-from sentinelsim.protocol import NodeState, ProbeReply, ProbeRequest
+from sentinelsim.protocol import NodeState, ProbeReply, ProbeRequest, ProtocolError
 
 
 def small_config(**kw):
@@ -305,6 +305,31 @@ def test_world_runs_only_once():
         run(world, duration=2.0)
 
 
+# -- state changes outside the protocol handlers ----------------------------------
+
+
+def test_set_state_keeps_the_books():
+    cfg = small_config(n_nodes=2)
+    world = deploy(cfg, positions=[(10.0, 10.0), (40.0, 40.0)], initial_sleeps=[1e9, 1e9])
+    node = world.nodes[0]
+    with pytest.raises(ProtocolError):
+        world.set_state(node, NodeState.ACTIVE, 0.0)
+    assert node.state is NodeState.SLEEPING
+    with pytest.raises(SimError):
+        world.broadcast(node, ProbeRequest(node.id, node.position), 0.0)
+    world.set_state(node, NodeState.PROBING, 0.0)
+    world.broadcast(node, ProbeRequest(node.id, node.position), 0.0)
+    assert world.probes_sent == 1
+    world.set_state(node, NodeState.ACTIVE, 1.0)
+    assert world.active_ids == {node.id}
+    assert world.result.activations == [(1.0, node.id)]
+    node.wake_deadline = 50.0
+    world.set_state(node, NodeState.SLEEPING, 2.0)
+    assert world.active_ids == set()
+    # heap entries are (time, seq, kind, payload)
+    assert (50.0, EventKind.WAKE, node.id) in [(t, k, p) for t, _, k, p in world._heap]
+
+
 # -- energy conservation -----------------------------------------------------------
 
 
@@ -390,7 +415,7 @@ def test_guard_dead_of_depletion_leaves_no_coverage():
     assert result.recoveries == []  # died of its budget, not by injection
 
 
-def test_sampler_sees_active_ids_written_between_samples(force_state):
+def test_sampler_sees_guards_placed_between_samples(force_state):
     cfg = small_config(n_nodes=2)
     world = deploy(cfg, positions=[(10.0, 10.0), (40.0, 40.0)], initial_sleeps=[1e9, 1e9])
     _record_sample(world, 0.0)

@@ -2,7 +2,8 @@
 few fixed runs, so a change meant to keep behaviour proves it kept every byte
 (and, through the outputs, every RNG draw). A third digest covers each node's
 energy ledger, whose split into state, transmit and receive costs the CSV does
-not show.
+not show; a fourth covers the run logs (activations, conflict ages, false
+activations and hole recoveries), which no output file shows in full.
 
 The digests live in tests/golden/digests.json. When a change alters the
 outputs on purpose, rewrite them with
@@ -72,6 +73,14 @@ def run_scenario(name):
         "ledger": "".join(
             f"{n.spent_state!r},{n.spent_tx!r},{n.spent_rx!r},{n.spent_total!r}\n"
             for n in world.nodes
+        ),
+        "logs": repr(
+            (
+                result.activations,
+                result.conflict_ages,
+                sorted(result.false_activation_ids),
+                result.recoveries,
+            )
         ),
     }
     return result, {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}

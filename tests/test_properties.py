@@ -47,7 +47,6 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
         return {node.id for node in world.nodes if node.state in states}
 
     assert world._radio_on == ids(NodeState.PROBING, NodeState.ACTIVE)
-    assert world._active_ids == ids(NodeState.ACTIVE)
     assert world.clock == cfg.duration
     for node in world.nodes:
         parts = node.spent_state + node.spent_tx + node.spent_rx
