@@ -102,10 +102,9 @@ class ExperimentSpec:
                     raise ValueError("another point has the same name")
                 seen.add(point)
                 config.validate()
-                if self.protocol == "both" and (config.n_nodes == 0 or config.duration == 0):
+                if self.protocol == "both" and config.n_nodes == 0:
                     raise ValueError(
-                        "protocol = both needs n_nodes >= 1 and duration > 0, "
-                        "or the energy saving is undefined"
+                        "protocol = both needs n_nodes >= 1, or the energy saving is undefined"
                     )
             except ValueError as exc:
                 if not self.sweep:

@@ -38,6 +38,12 @@ class EventKind(IntEnum):
     END_OF_RUN = 5
 
 
+# The hot path's members, bound once: a module global is one dict lookup, an
+# enum member an attribute lookup on top.
+_DELIVERY, _WAKE, _TIMEOUT = EventKind.MESSAGE_DELIVERY, EventKind.WAKE, EventKind.REPLY_TIMEOUT
+_ACTIVE, _PROBING, _DEAD = NodeState.ACTIVE, NodeState.PROBING, NodeState.DEAD
+
+
 @dataclass(frozen=True)
 class EnergyModel:
     """Per-state draws in watts, per-message costs in joules.
@@ -334,23 +340,30 @@ class World:
         cfg = self.config
         end = start + cfg.airtime
         frame = Frame(msg, start, end)
+        frame.receivers = receivers = sorted(self._radio_on & self.neighbor_sets[sender.id])
+        random = self.rng.random
         loss = cfg.loss_probability
-        neighbors = self.neighbor_sets[sender.id]
-        for rid in sorted(self._radio_on & neighbors):
-            lost = self.rng.random() < loss
-            inflight = self._inflight.setdefault(rid, [])
-            if inflight:
-                inflight[:] = [f for f in inflight if f.end > start]
-                overlapping = [f for f in inflight if f.start < end]
-                if overlapping and cfg.collisions:
-                    self.collisions += 1
-                    for f in overlapping:
+        collide = cfg.collisions
+        inflight = self._inflight
+        dropped = frame.dropped
+        for rid in receivers:
+            lost = random() < loss
+            live = [frame]
+            hit = False
+            # one walk of the receiver's frames: keep the ones still on the air
+            # at `start`, and mark those that overlap this frame
+            for f in inflight.get(rid, ()):
+                if f.end > start:
+                    live.append(f)
+                    if collide and f.start < end:
                         f.dropped.add(rid)
-                    frame.dropped.add(rid)
+                        hit = True
+            inflight[rid] = live
+            if hit:
+                self.collisions += 1
+                dropped.add(rid)
             if lost:
-                frame.dropped.add(rid)
-            frame.receivers.append(rid)
-            inflight.append(frame)
+                dropped.add(rid)
         if isinstance(msg, ProbeRequest):
             self.probes_sent += 1
         else:
@@ -361,7 +374,7 @@ class World:
             sender.spent_total += e_tx
         else:
             self._deplete(sender, "spent_tx", start)
-        if frame.receivers:
+        if receivers:
             self.push(end, EventKind.MESSAGE_DELIVERY, frame)
 
     # -- introspection ---------------------------------------------------------
@@ -463,12 +476,17 @@ def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
 def _handle_delivery(world: World, frame: Frame, now: float) -> None:
     cfg = world.config
     e_rx = cfg.energy.e_rx
+    dropped = frame.dropped
+    radio_on = world._radio_on
+    nodes = world.nodes
+    msg = frame.msg
+    is_request = isinstance(msg, ProbeRequest)
     for rid in frame.receivers:
-        if rid in frame.dropped or rid not in world._radio_on:
+        if rid in dropped or rid not in radio_on:
             continue  # lost, or slept or died while the frame was in the air
-        node = world.nodes[rid]
+        node = nodes[rid]
         world.charge(node, now)
-        if rid not in world._radio_on:
+        if rid not in radio_on:
             continue
         if e_rx < node.initial_energy - node.spent_total:
             node.spent_rx += e_rx
@@ -476,11 +494,10 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
         else:
             world._deplete(node, "spent_rx", now)
             continue
-        msg = frame.msg
-        if isinstance(msg, ProbeRequest):
+        if is_request:
             # received-probe accounting follows the message's purpose: only
             # guards are probe destinations, overhearing probers are not
-            if node.state is NodeState.ACTIVE:
+            if node.state is _ACTIVE:
                 world.probes_received += 1
                 jitter = (
                     world.rng.uniform(0.0, cfg.reply_jitter) if cfg.reply_jitter > 0 else 0.0
@@ -492,7 +509,7 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
         else:
             r = _uniform_open(world.rng)
             prev = node.state
-            if node.state is NodeState.PROBING:
+            if prev is _PROBING:
                 world.replies_received += 1
                 world.policy.on_probe_reply(node, msg, cfg, now, r)
             else:  # ACTIVE: overheard replies route to the withdrawal check
@@ -570,25 +587,27 @@ def run(world: World, duration: float | None = None) -> RunResult:
         world.push(0.0, EventKind.METRICS_SAMPLE)
 
     heap = world._heap
+    heappop = heapq.heappop
+    nodes = world.nodes
     while heap:
-        now, _, kind, payload = heapq.heappop(heap)
+        now, _, kind, payload = heappop(heap)
         if now < world.clock - 1e-9:
             raise SimError(
                 f"event {kind.name} at t={now} violates clock monotonicity "
                 f"(clock={world.clock})"
             )
         world.clock = now
-        if kind is EventKind.MESSAGE_DELIVERY:
+        if kind is _DELIVERY:
             _handle_delivery(world, payload, now)
-        elif kind is EventKind.WAKE:
-            node = world.nodes[payload]
-            if node.state is not NodeState.DEAD:
+        elif kind is _WAKE:
+            node = nodes[payload]
+            if node.state is not _DEAD:
                 _probe_step(world, node, now, protocol.on_wake)
-        elif kind is EventKind.REPLY_TIMEOUT:
+        elif kind is _TIMEOUT:
             nid, token = payload
-            node = world.nodes[nid]
+            node = nodes[nid]
             # a reply or a state change since arming cancels the timeout
-            if node.state is NodeState.PROBING and token == node.timeout_token:
+            if node.state is _PROBING and token == node.timeout_token:
                 _probe_step(world, node, now, protocol.on_reply_timeout)
         elif kind is EventKind.METRICS_SAMPLE:
             _record_sample(world, now)

@@ -103,5 +103,15 @@ def update_probe_rate(
         raise ValueError(f"lambda_old must be positive and finite, got {lambda_old}")
     if t_network < 0:
         raise ValueError(f"t_network must be >= 0, got {t_network}")
-    h = hazard_rate(t_network, WeibullParams(alpha=1.0 / lambda_old, beta=beta))
+    # hazard_rate of WeibullParams(1 / lambda_old, beta), with the same checks
+    # and arithmetic but no params object: this runs once per probe cycle
+    alpha = 1.0 / lambda_old
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if t_network == 0.0 and beta < 1.0:
+        h = math.inf
+    else:
+        h = (beta / alpha) * (t_network / alpha) ** (beta - 1.0)
     return min(max(h, lambda_min), lambda_max)

@@ -208,6 +208,57 @@ def test_overlapping_frames_collide_destructively_at_common_receiver(force_state
     assert c.spent_rx == 0.0  # both frames died at the shared receiver
 
 
+def _three_guards_around_a_prober(force_state, **kw):
+    """Guards a, b and d, out of each other's range, all audible at prober c."""
+    cfg = small_config(n_nodes=4, duration=100.0, **kw)
+    world = deploy(
+        cfg,
+        positions=[(0.0, 0.0), (30.0, 0.0), (15.0, 0.0), (15.0, 15.0)],
+        initial_sleeps=[90.0] * 4,
+    )
+    a, b, c, d = world.nodes
+    for guard in (a, b, d):
+        force_state(world, guard, NodeState.ACTIVE)
+        guard.activity_start = 0.0
+    force_state(world, c, NodeState.PROBING)
+    return cfg, world
+
+
+def test_abutting_frames_both_arrive(force_state):
+    cfg, world = _three_guards_around_a_prober(force_state)
+    a, b, c, _ = world.nodes
+    world.broadcast(a, ProbeRequest(a.id, a.position), 5.0)
+    world.broadcast(b, ProbeRequest(b.id, b.position), 5.0 + cfg.airtime)  # a's end
+    run(world, duration=6.0)
+    assert world.collisions == 0
+    assert c.spent_rx == pytest.approx(2 * cfg.energy.e_rx, rel=1e-12)
+
+
+def test_frame_overlapping_two_inflight_frames_collides_once(force_state):
+    cfg, world = _three_guards_around_a_prober(force_state)
+    a, b, c, d = world.nodes
+    # airtime 0.8 ms: a's [5.0, 5.0008] and b's [5.001, 5.0018] are apart at c,
+    # and d's [5.0006, 5.0014] overlaps both
+    world.broadcast(b, ProbeRequest(b.id, b.position), 5.001)
+    world.broadcast(a, ProbeRequest(a.id, a.position), 5.0)
+    assert world.collisions == 0
+    world.broadcast(d, ProbeRequest(d.id, d.position), 5.0006)
+    run(world, duration=6.0)
+    assert world.collisions == 1
+    assert c.spent_rx == 0.0  # all three frames died at c
+
+
+def test_overlapping_frames_all_arrive_without_the_collision_model(force_state):
+    cfg, world = _three_guards_around_a_prober(force_state, collisions=False)
+    a, b, c, d = world.nodes
+    world.broadcast(a, ProbeRequest(a.id, a.position), 5.0)
+    world.broadcast(b, ProbeRequest(b.id, b.position), 5.0002)
+    world.broadcast(d, ProbeRequest(d.id, d.position), 5.0004)
+    run(world, duration=6.0)
+    assert world.collisions == 0
+    assert c.spent_rx == pytest.approx(3 * cfg.energy.e_rx, rel=1e-12)
+
+
 def test_sleeping_receiver_hears_nothing_and_never_collides(force_state):
     cfg = small_config(n_nodes=2, duration=10.0)
     world = deploy(cfg, positions=[(0.0, 0.0), (5.0, 0.0)], initial_sleeps=[9.0, 9.5])

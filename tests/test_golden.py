@@ -3,7 +3,10 @@ few fixed runs, so a change meant to keep behaviour proves it kept every byte
 (and, through the outputs, every RNG draw). A third digest covers each node's
 energy ledger, whose split into state, transmit and receive costs the CSV does
 not show; a fourth covers the run logs (activations, conflict ages, false
-activations and hole recoveries), which no output file shows in full.
+activations and hole recoveries), which no output file shows in full. A fifth
+covers how often the run called `World.push` (by event kind), `World.charge`
+and `World.broadcast`, the hooks the benchmark counts; the push count is the
+numerator of its events per second.
 
 The digests live in tests/golden/digests.json. When a change alters the
 outputs on purpose, rewrite them with
@@ -15,11 +18,13 @@ and say in the change why they moved.
 
 import hashlib
 import json
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from sentinelsim import EnergyModel, SimConfig, deploy, run, summarize
+from sentinelsim import EnergyModel, SimConfig, World, deploy, run, summarize
 from sentinelsim.analysis import metrics_to_csv, summary_to_json
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
@@ -63,10 +68,39 @@ SCENARIOS = {
 }
 
 
+@contextmanager
+def counting_hooks(counts):
+    """Count calls to World.push (by event kind), World.charge and
+    World.broadcast for the length of the block, then restore the class."""
+    originals = {name: getattr(World, name) for name in ("push", "charge", "broadcast")}
+
+    def push(self, time, kind, payload=None):
+        counts[f"push.{kind.name}"] += 1
+        originals["push"](self, time, kind, payload)
+
+    def charge(self, node, now):
+        counts["charge"] += 1
+        originals["charge"](self, node, now)
+
+    def broadcast(self, sender, msg, start):
+        counts["broadcast"] += 1
+        originals["broadcast"](self, sender, msg, start)
+
+    wrappers = {"push": push, "charge": charge, "broadcast": broadcast}
+    try:
+        for name, wrapper in wrappers.items():
+            setattr(World, name, wrapper)
+        yield counts
+    finally:
+        for name, original in originals.items():
+            setattr(World, name, original)
+
+
 def run_scenario(name):
     cfg = SimConfig(**SCENARIOS[name])
-    world = deploy(cfg)
-    result = run(world)
+    with counting_hooks(Counter()) as counts:
+        world = deploy(cfg)
+        result = run(world)
     texts = {
         "metrics_csv": metrics_to_csv(result.rows),
         "summary_json": summary_to_json(summarize(result), cfg),
@@ -82,6 +116,7 @@ def run_scenario(name):
                 result.recoveries,
             )
         ),
+        "calls": json.dumps(counts, sort_keys=True),
     }
     return result, {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
 
