@@ -538,14 +538,13 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
 def _record_sample(world: World, now: float) -> None:
     counts = [0] * len(NodeState)
     charge = world.charge
-    active = NodeState.ACTIVE
     guards: list[int] = []
     append = guards.append
     for node in world.nodes:
         charge(node, now)  # a depletion here changes only this node's state
         state = node.state
         counts[state] += 1
-        if state is active:
+        if state is _ACTIVE:
             append(node.id)
     # Coverage depends only on which nodes are on duty, and that set rarely
     # changes between samples, so it is recomputed only when the set moves.

@@ -30,10 +30,14 @@ class WeibullParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        _check_shape(self.alpha, self.beta)
+
+
+def _check_shape(alpha: float, beta: float) -> None:
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 def weibull_survival(t: float, params: WeibullParams) -> float:
@@ -78,9 +82,13 @@ def hazard_rate(t: float, params: WeibullParams) -> float:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0 and params.beta < 1.0:
+    return _hazard(t, params.alpha, params.beta)
+
+
+def _hazard(t: float, alpha: float, beta: float) -> float:
+    if t == 0.0 and beta < 1.0:
         return math.inf
-    return (params.beta / params.alpha) * (t / params.alpha) ** (params.beta - 1.0)
+    return (beta / alpha) * (t / alpha) ** (beta - 1.0)
 
 
 def update_probe_rate(
@@ -103,15 +111,8 @@ def update_probe_rate(
         raise ValueError(f"lambda_old must be positive and finite, got {lambda_old}")
     if t_network < 0:
         raise ValueError(f"t_network must be >= 0, got {t_network}")
-    # hazard_rate of WeibullParams(1 / lambda_old, beta), with the same checks
-    # and arithmetic but no params object: this runs once per probe cycle
+    # the checks and hazard of WeibullParams(1 / lambda_old, beta), without
+    # building the params object: this runs once per probe cycle
     alpha = 1.0 / lambda_old
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    if t_network == 0.0 and beta < 1.0:
-        h = math.inf
-    else:
-        h = (beta / alpha) * (t_network / alpha) ** (beta - 1.0)
-    return min(max(h, lambda_min), lambda_max)
+    _check_shape(alpha, beta)
+    return min(max(_hazard(t_network, alpha, beta), lambda_min), lambda_max)

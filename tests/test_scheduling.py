@@ -137,6 +137,19 @@ def test_update_probe_rate_rejects_bad_inputs():
         update_probe_rate(math.inf, 10.0, 2.0)
 
 
+def test_update_probe_rate_is_the_clamped_hazard():
+    # including the unbounded hazard of beta < 1 at t = 0, which clamps to the ceiling
+    for lam in (1e-3, 0.01, 0.5):
+        for beta in (0.5, 1.0, 2.0, 3.0):
+            for t in (0.0, 1.0, 100.0, 1e4):
+                h = hazard_rate(t, WeibullParams(1.0 / lam, beta))
+                assert update_probe_rate(lam, t, beta) == min(max(h, 1e-4), 10.0)
+    assert update_probe_rate(0.01, 0.0, 0.5) == 10.0
+    for beta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            update_probe_rate(0.01, 10.0, beta)
+
+
 def test_repeated_updates_shrink_mean_sleep_times():
     # growing network age pushes the rate up and the sampled sleeps down
     rng = random.Random(77)
