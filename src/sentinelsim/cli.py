@@ -159,7 +159,7 @@ def parse_config(text: str) -> ExperimentSpec:
     spec = ExperimentSpec()
     sim_kwargs: dict = {}
     energy_kwargs: dict = {}
-    sweep_lines: list[int] = []
+    sweep_lines: dict[str, int] = {}  # sweep key -> its line
     section = ""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -181,11 +181,15 @@ def parse_config(text: str) -> ExperimentSpec:
             problem = _sweep_key_problem(key)
             if problem:
                 raise ConfigError(f"line {lineno}: {problem}")
+            if key in sweep_lines:  # its points would all run the last values
+                raise ConfigError(
+                    f"lines {sweep_lines[key]}, {lineno}: sweep key {key!r} is repeated"
+                )
             values = [_parse_scalar(key, v, lineno) for v in raw.split(",") if v.strip()]
             if not values:
                 raise ConfigError(f"line {lineno}: sweep key {key!r} has no values")
             spec.sweep.append((key, values))
-            sweep_lines.append(lineno)
+            sweep_lines[key] = lineno
         else:  # top level / [simulation]
             if key == "replications":
                 try:
@@ -214,7 +218,8 @@ def parse_config(text: str) -> ExperimentSpec:
         spec.validate()
     except SweepPointError as exc:
         where = "line" if len(sweep_lines) == 1 else "lines"
-        raise ConfigError(f"{where} {', '.join(map(str, sweep_lines))}: {exc}") from exc
+        lines = ", ".join(map(str, sweep_lines.values()))
+        raise ConfigError(f"{where} {lines}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return spec

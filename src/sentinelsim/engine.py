@@ -9,11 +9,11 @@ replay identical runs. Concurrency is only sensible across worlds.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
+from heapq import heappop, heappush
 
 from . import peas, protocol
 from .analysis import CoverageGrid, MetricsRecord, RecoveryEvent, RunResult, coverage_fraction
@@ -38,10 +38,10 @@ class EventKind(IntEnum):
     END_OF_RUN = 5
 
 
-# The hot path's members, bound once: a module global is one dict lookup, an
-# enum member an attribute lookup on top.
-_DELIVERY, _WAKE, _TIMEOUT = EventKind.MESSAGE_DELIVERY, EventKind.WAKE, EventKind.REPLY_TIMEOUT
-_ACTIVE, _PROBING, _DEAD = NodeState.ACTIVE, NodeState.PROBING, NodeState.DEAD
+# The members, bound once for the per-event code: a module global is one dict
+# lookup, an enum member an attribute lookup on top.
+_WAKE, _TIMEOUT, _DELIVERY, _SAMPLE, _FAILURE, _END = EventKind
+_SLEEPING, _PROBING, _ACTIVE, _DEAD = NodeState
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,11 @@ class Frame:
 
     __slots__ = ("msg", "start", "end", "receivers", "dropped")
 
-    def __init__(self, msg, start: float, end: float):
+    def __init__(self, msg, start: float, end: float, receivers: list[int]):
         self.msg = msg
         self.start = start
         self.end = end
-        self.receivers: list[int] = []
+        self.receivers = receivers
         self.dropped: set[int] = set()
 
 
@@ -245,7 +245,7 @@ class World:
             raise SimError(
                 f"event {kind.name} scheduled at t={time} before clock {self.clock}"
             )
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
 
     # -- energy --------------------------------------------------------------
@@ -259,8 +259,8 @@ class World:
         budget = node.initial_energy - node.spent_total
         setattr(node, category, getattr(node, category) + budget)
         node.spent_total = node.initial_energy
-        if node.state is not NodeState.DEAD:
-            self.set_state(node, NodeState.DEAD, now)
+        if node.state is not _DEAD:
+            self.set_state(node, _DEAD, now)
 
     def charge(self, node: SensorNode, now: float) -> None:
         """Advance the node's state-power integral to `now`, applying death by
@@ -290,29 +290,30 @@ class World:
     def _sync_state(self, node: SensorNode, prev: NodeState, now: float) -> None:
         """Engine-side consequences of a protocol state transition."""
         state = node.state
-        if state is NodeState.PROBING:
+        if state is _PROBING:
             self._radio_on.add(node.id)
-        elif state is NodeState.ACTIVE:
+        elif state is _ACTIVE:
             self._enter_active(node, now)
         else:  # SLEEPING or DEAD
             self._radio_on.discard(node.id)
-            if prev is NodeState.ACTIVE and self._conflicts:
+            if prev is _ACTIVE and self._conflicts:
                 nid = node.id
                 self._conflicts = {
                     pair: t for pair, t in self._conflicts.items() if nid not in pair
                 }
-            if state is NodeState.SLEEPING:
-                self.push(node.wake_deadline, EventKind.WAKE, node.id)
+            if state is _SLEEPING:
+                self.push(node.wake_deadline, _WAKE, node.id)
 
     def _enter_active(self, node: SensorNode, now: float) -> None:
         redundant = False
+        delta = self.config.delta
         for other in self.nodes:
-            if other.state is not NodeState.ACTIVE or other is node:
+            if other.state is not _ACTIVE or other is node:
                 continue
             d = math.hypot(node.x - other.x, node.y - other.y)
-            if d <= self.config.delta:
+            if d <= delta:
                 redundant = True
-            if d < self.config.delta:
+            if d < delta:
                 pair = (other.id, node.id) if other.id < node.id else (node.id, other.id)
                 self._conflicts[pair] = now
         if redundant:
@@ -322,7 +323,7 @@ class World:
         for i, hole in enumerate(holes):
             if hole.recovered_at is None:
                 d = math.hypot(node.x - hole.position[0], node.y - hole.position[1])
-                if d <= self.config.delta:
+                if d <= delta:
                     holes[i] = replace(hole, recovered_at=now)
 
     # -- radio ----------------------------------------------------------------
@@ -339,8 +340,8 @@ class World:
             raise SimError(f"node {sender.id} cannot transmit in state {sender.state.name}")
         cfg = self.config
         end = start + cfg.airtime
-        frame = Frame(msg, start, end)
-        frame.receivers = receivers = sorted(self._radio_on & self.neighbor_sets[sender.id])
+        receivers = sorted(self._radio_on & self.neighbor_sets[sender.id])
+        frame = Frame(msg, start, end, receivers)
         random = self.rng.random
         loss = cfg.loss_probability
         collide = cfg.collisions
@@ -375,21 +376,13 @@ class World:
         else:
             self._deplete(sender, "spent_tx", start)
         if receivers:
-            self.push(end, EventKind.MESSAGE_DELIVERY, frame)
+            self.push(end, _DELIVERY, frame)
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def active_ids(self) -> set[int]:
-        return {n.id for n in self.nodes if n.state is NodeState.ACTIVE}
-
-
-def _uniform_open(rng: random.Random) -> float:
-    """Uniform draw from the open interval (0, 1)."""
-    r = rng.random()
-    while r == 0.0:
-        r = rng.random()
-    return r
+        return {n.id for n in self.nodes if n.state is _ACTIVE}
 
 
 def deploy(
@@ -459,7 +452,7 @@ def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
     """Run a wake or reply-timeout handler on a node, then put the probe it
     returns on the air and arm a fresh reply timeout."""
     world.charge(node, now)
-    if node.state is NodeState.DEAD:
+    if node.state is _DEAD:
         return  # depleted while asleep or listening
     prev = node.state
     req = handler(node, world.config, now)
@@ -468,24 +461,26 @@ def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
     if req is not None:
         world.broadcast(node, req, now)
         node.timeout_token += 1
-        world.push(
-            now + world.config.t_w, EventKind.REPLY_TIMEOUT, (node.id, node.timeout_token)
-        )
+        world.push(now + world.config.t_w, _TIMEOUT, (node.id, node.timeout_token))
 
 
 def _handle_delivery(world: World, frame: Frame, now: float) -> None:
     cfg = world.config
     e_rx = cfg.energy.e_rx
+    jitter = cfg.reply_jitter
     dropped = frame.dropped
     radio_on = world._radio_on
     nodes = world.nodes
+    charge = world.charge
+    random = world.rng.random
+    policy = world.policy  # its handlers are still looked up per call
     msg = frame.msg
     is_request = isinstance(msg, ProbeRequest)
     for rid in frame.receivers:
         if rid in dropped or rid not in radio_on:
             continue  # lost, or slept or died while the frame was in the air
         node = nodes[rid]
-        world.charge(node, now)
+        charge(node, now)
         if rid not in radio_on:
             continue
         if e_rx < node.initial_energy - node.spent_total:
@@ -499,21 +494,21 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
             # guards are probe destinations, overhearing probers are not
             if node.state is _ACTIVE:
                 world.probes_received += 1
-                jitter = (
-                    world.rng.uniform(0.0, cfg.reply_jitter) if cfg.reply_jitter > 0 else 0.0
-                )
-                tx_start = now + jitter
+                # the same float from the same one draw as rng.uniform(0.0, jitter)
+                tx_start = now + jitter * random() if jitter > 0 else now
                 reply = protocol.on_probe_request(node, msg, tx_start)
                 if reply is not None:
                     world.broadcast(node, reply, tx_start)
         else:
-            r = _uniform_open(world.rng)
+            r = random()  # uniform on the open interval (0, 1)
+            while r == 0.0:
+                r = random()
             prev = node.state
             if prev is _PROBING:
                 world.replies_received += 1
-                world.policy.on_probe_reply(node, msg, cfg, now, r)
+                policy.on_probe_reply(node, msg, cfg, now, r)
             else:  # ACTIVE: overheard replies route to the withdrawal check
-                if world.policy.on_withdrawal_check(node, msg, cfg, now, r):
+                if policy.on_withdrawal_check(node, msg, cfg, now, r):
                     world.withdrawals += 1
             if node.state is not prev:
                 world._sync_state(node, prev, now)
@@ -521,15 +516,15 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
 
 def _handle_failure(world: World, node_id: int, now: float) -> None:
     node = world.nodes[node_id]
-    if node.state is NodeState.DEAD:
+    if node.state is _DEAD:
         return
     world.charge(node, now)
-    if node.state is not NodeState.DEAD:
-        world.set_state(node, NodeState.DEAD, now)
+    if node.state is not _DEAD:
+        world.set_state(node, _DEAD, now)
     covered = any(
         math.hypot(node.x - other.x, node.y - other.y) <= world.config.delta
         for other in world.nodes
-        if other.state is NodeState.ACTIVE
+        if other.state is _ACTIVE
     )
     hole = RecoveryEvent(node.id, now, node.position, now if covered else None)
     world.result.recoveries.append(hole)
@@ -540,8 +535,11 @@ def _record_sample(world: World, now: float) -> None:
     charge = world.charge
     guards: list[int] = []
     append = guards.append
+    # summed left to right from the int 0, as sum() does on 3.11
+    total = 0
     for node in world.nodes:
         charge(node, now)  # a depletion here changes only this node's state
+        total += node.spent_total
         state = node.state
         counts[state] += 1
         if state is _ACTIVE:
@@ -556,11 +554,11 @@ def _record_sample(world: World, now: float) -> None:
     world.result.rows.append(
         MetricsRecord(
             time=now,
-            active_count=counts[NodeState.ACTIVE],
-            sleeping_count=counts[NodeState.SLEEPING],
-            probing_count=counts[NodeState.PROBING],
-            dead_count=counts[NodeState.DEAD],
-            total_energy_consumed=sum(n.spent_total for n in world.nodes),
+            active_count=counts[_ACTIVE],
+            sleeping_count=counts[_SLEEPING],
+            probing_count=counts[_PROBING],
+            dead_count=counts[_DEAD],
+            total_energy_consumed=total,
             coverage_fraction=world._sampled_coverage,
             probes_sent=world.probes_sent,
             probes_received=world.probes_received,
@@ -581,12 +579,11 @@ def run(world: World, duration: float | None = None) -> RunResult:
     cfg = world.config
     if duration is None:
         duration = cfg.duration
-    world.push(duration, EventKind.END_OF_RUN)
+    world.push(duration, _END)
     if duration > 0.0:
-        world.push(0.0, EventKind.METRICS_SAMPLE)
+        world.push(0.0, _SAMPLE)
 
     heap = world._heap
-    heappop = heapq.heappop
     nodes = world.nodes
     while heap:
         now, _, kind, payload = heappop(heap)
@@ -608,14 +605,14 @@ def run(world: World, duration: float | None = None) -> RunResult:
             # a reply or a state change since arming cancels the timeout
             if node.state is _PROBING and token == node.timeout_token:
                 _probe_step(world, node, now, protocol.on_reply_timeout)
-        elif kind is EventKind.METRICS_SAMPLE:
+        elif kind is _SAMPLE:
             _record_sample(world, now)
             nxt = now + cfg.metrics_interval
             if nxt < duration:
-                world.push(nxt, EventKind.METRICS_SAMPLE)
-        elif kind is EventKind.FAILURE_INJECTION:
+                world.push(nxt, _SAMPLE)
+        elif kind is _FAILURE:
             _handle_failure(world, payload, now)
-        elif kind is EventKind.END_OF_RUN:
+        elif kind is _END:
             break
 
     rows = world.result.rows

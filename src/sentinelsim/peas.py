@@ -18,6 +18,8 @@ from .protocol import NodeState, ProbeReply, ProtocolError, SensorNode, distance
 if TYPE_CHECKING:
     from .engine import SimConfig
 
+_PROBING = NodeState.PROBING  # bound once for on_probe_reply
+
 
 def peas_sample_sleep(lambda_peas: float, r: float) -> float:
     """Exponential sleep draw: ln(1/r) / lambda_peas."""
@@ -47,7 +49,7 @@ def on_probe_reply(
 ) -> bool:
     """Any reply from within probing range sends the node back to sleep for an
     exponential duration at the unchanged rate (returns True)."""
-    if node.state is not NodeState.PROBING:
+    if node.state is not _PROBING:
         raise ProtocolError(
             f"probe reply routed to node {node.id} in state {node.state.name}"
         )

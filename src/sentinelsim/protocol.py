@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .scheduling import WeibullParams, sample_sleep_time, update_probe_rate
@@ -28,6 +29,11 @@ class NodeState(IntEnum):
     PROBING = 1
     ACTIVE = 2
     DEAD = 3
+
+
+# The members, bound once for the handlers: a module global is one dict
+# lookup, an enum member an attribute lookup on top.
+_SLEEPING, _PROBING, _ACTIVE, _DEAD = NodeState
 
 
 # Dead is absorbing; Active can only leave by withdrawal or death.
@@ -127,11 +133,17 @@ def scan_check(d: float, delta: float) -> bool:
 def go_to_sleep(node: SensorNode, now: float, t_s: float) -> None:
     """Send the node to sleep for t_s seconds; the caller schedules the wake
     at node.wake_deadline. Shared by both policies."""
-    change_state(node, NodeState.SLEEPING)
+    change_state(node, _SLEEPING)
     node.activity_start = None
     node.probes_sent_this_round = 0
     node.timeout_token += 1  # cancels any pending reply timeout
     node.wake_deadline = now + t_s
+
+
+# WeibullParams is frozen, so one instance serves every sleep at the same rate
+# and shape; most cycles sleep at lambda_max. A failed construction is not
+# cached and raises again on the next call.
+_weibull = lru_cache(maxsize=16)(WeibullParams)
 
 
 def _adapt_and_sleep(node: SensorNode, config: SimConfig, now: float, r: float) -> None:
@@ -144,7 +156,7 @@ def _adapt_and_sleep(node: SensorNode, config: SimConfig, now: float, r: float) 
         lambda_min=config.lambda_min,
         lambda_max=config.lambda_max,
     )
-    weib = WeibullParams(alpha=1.0 / node.probe_rate, beta=config.beta)
+    weib = _weibull(1.0 / node.probe_rate, config.beta)
     t_s = sample_sleep_time(
         weib,
         r,
@@ -166,18 +178,18 @@ def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest | N
     is exhausted (it dies instead of probing). The caller broadcasts the
     request and schedules a reply timeout at now + t_w.
     """
-    if node.state is NodeState.DEAD:
+    if node.state is _DEAD:
         return None
-    if node.energy_remaining <= 0.0:
-        change_state(node, NodeState.DEAD)
+    if node.initial_energy - node.spent_total <= 0.0:  # energy_remaining, inline
+        change_state(node, _DEAD)
         return None
-    if node.state is not NodeState.SLEEPING:
+    if node.state is not _SLEEPING:
         raise ProtocolError(
             f"wake fired for node {node.id} in state {node.state.name}"
         )
-    change_state(node, NodeState.PROBING)
+    change_state(node, _PROBING)
     node.probes_sent_this_round = 1
-    return ProbeRequest(sender_id=node.id, sender_position=node.position)
+    return ProbeRequest(node.id, (node.x, node.y))
 
 
 def on_probe_request(node: SensorNode, msg: ProbeRequest, now: float) -> ProbeReply | None:
@@ -186,13 +198,9 @@ def on_probe_request(node: SensorNode, msg: ProbeRequest, now: float) -> ProbeRe
     now is the instant the reply goes on the air, so the stamped activity age
     is exact at transmission start.
     """
-    if node.state is not NodeState.ACTIVE:
+    if node.state is not _ACTIVE:
         return None
-    return ProbeReply(
-        sender_id=node.id,
-        sender_position=node.position,
-        activity_age=now - node.activity_start,
-    )
+    return ProbeReply(node.id, (node.x, node.y), now - node.activity_start)
 
 
 def on_probe_reply(
@@ -205,7 +213,7 @@ def on_probe_reply(
     with the fresh uniform draw r, and goes back to sleep (returns True).
     Replies from beyond the threshold are ignored and the round continues.
     """
-    if node.state is not NodeState.PROBING:
+    if node.state is not _PROBING:
         raise ProtocolError(
             f"probe reply routed to node {node.id} in state {node.state.name}"
         )
@@ -222,14 +230,14 @@ def on_reply_timeout(node: SensorNode, config: SimConfig, now: float) -> ProbeRe
     and schedules a fresh timeout); returns None once the node has used its
     k_probes budget and switched to Active.
     """
-    if node.state is not NodeState.PROBING:
+    if node.state is not _PROBING:
         raise ProtocolError(
             f"reply timeout fired for node {node.id} in state {node.state.name}"
         )
     if node.probes_sent_this_round < config.k_probes:
         node.probes_sent_this_round += 1
-        return ProbeRequest(sender_id=node.id, sender_position=node.position)
-    change_state(node, NodeState.ACTIVE)
+        return ProbeRequest(node.id, (node.x, node.y))
+    change_state(node, _ACTIVE)
     node.activity_start = now
     node.probes_sent_this_round = 0
     return None
@@ -245,7 +253,7 @@ def on_withdrawal_check(
     sleep cycle (returns True). Ages within age_tie_margin count as a tie and
     the higher id yields, so exactly one side of a conflicting pair backs off.
     """
-    if node.state is not NodeState.ACTIVE:
+    if node.state is not _ACTIVE:
         raise ProtocolError(
             f"withdrawal check on node {node.id} in state {node.state.name}"
         )

@@ -222,6 +222,7 @@ def test_main_overrides_and_exit_codes(tmp_path):
         ("[sweep]\nt_w = 1, inf", ["line 2", "t_w"]),
         ("[sweep]\ndelta = 10.0000001, 10.0000002", ["line 2", "delta_10"]),
         ("protocol = both\nn_nodes = 0\nduration = 100", ["protocol = both", "n_nodes"]),
+        ("[sweep]\nn_nodes = 10, 20\nn_nodes = 30", ["lines 2, 3", "'n_nodes'", "repeated"]),
     ],
     ids=[
         "invalid_base",
@@ -234,6 +235,7 @@ def test_main_overrides_and_exit_codes(tmp_path):
         "infinite_sweep_value",
         "colliding_point_names",
         "paired_no_nodes",
+        "repeated_sweep_key",
     ],
 )
 def test_main_reports_config_errors(tmp_path, capsys, text, expected):

@@ -1,6 +1,7 @@
 """Event kernel: deployment, radio semantics, energy ledger, failure injection."""
 
 import math
+import random
 import typing
 
 import pytest
@@ -187,6 +188,17 @@ def test_configured_message_size_drives_airtime(force_state):
     # heap entries are (time, seq, kind, payload)
     delivery = min(ev for ev in world._heap if ev[2] is EventKind.MESSAGE_DELIVERY)
     assert delivery[0] == pytest.approx(1.0016, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 23, 2**31 - 1])
+@pytest.mark.parametrize("jitter", [1e-6, 0.005, 0.3, 0.999])
+def test_reply_jitter_is_uniform_from_one_draw(seed, jitter):
+    # delivery draws a reply's jitter as jitter * random(): the same float as
+    # Random.uniform(0.0, jitter), from the same single draw
+    scaled, uniform = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        assert jitter * scaled.random() == uniform.uniform(0.0, jitter)
+    assert scaled.getstate() == uniform.getstate()
 
 
 def test_overlapping_frames_collide_destructively_at_common_receiver(force_state):

@@ -1,5 +1,7 @@
 """Post-run engine invariants over small random configs, both policies."""
 
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +63,15 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
     assert all(a < b for a, b in zip(times, times[1:]))
     assert times[-1] == cfg.duration
     assert overhead_report(result).replies_conserved
+
+    # the sampler adds the spends left to right from the int 0, inside its
+    # charge loop: sum()'s float arithmetic up to 3.11 (later sum() compensates)
+    total = 0
+    for node in world.nodes:
+        total += node.spent_total
+    assert rows[-1].total_energy_consumed == total
+    if sys.version_info < (3, 12):
+        assert total == sum(node.spent_total for node in world.nodes)
 
     injections = set(cfg.failure_injections)
     assert all(world.nodes[nid].state is NodeState.DEAD for nid, _ in injections)
