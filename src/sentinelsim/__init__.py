@@ -17,7 +17,6 @@ from .analysis import (
     write_metrics_csv,
 )
 from .engine import (
-    EnergyModel,
     EventKind,
     SimConfig,
     SimError,

@@ -191,14 +191,16 @@ def compare_runs(sentinel: RunResult, baseline: RunResult) -> float | None:
     (baseline_avg - sentinel_avg) / baseline_avg. Negative means worse; None
     when the baseline consumed no energy, so there is no saving to speak of."""
     a, b = sentinel.config, baseline.config
-    for name in ("seed", "n_nodes", "field_width", "field_height", "duration"):
+    compared = (
+        "seed", "n_nodes", "field_width", "field_height", "duration",
+        "p_sleep", "p_probe_listen", "p_active", "e_tx", "e_rx", "initial_energy",
+    )
+    for name in compared:
         if getattr(a, name) != getattr(b, name):
             raise ValueError(
                 f"runs are not comparable: {name} differs "
                 f"({getattr(a, name)} vs {getattr(b, name)})"
             )
-    if a.energy != b.energy:
-        raise ValueError("runs are not comparable: energy models differ")
     if baseline.n_nodes == 0:
         raise ValueError("runs have no nodes; ratio undefined")
     base = baseline.total_energy / baseline.n_nodes

@@ -13,15 +13,16 @@ Config format (all keys optional; defaults are the standard 50 m x 50 m,
     output_dir = results
     failure_injections = 12@1000, 40@4000
 
-    [energy]                   # EnergyModel fields
+    [energy]                   # a heading for the SimConfig energy fields
     p_active = 0.015
     initial_energy = 500
 
     [sweep]                    # one key: list of values, one run set per value
     n_nodes = 100, 200, 300, 400
 
-Every sweep point is validated before the first run. seed and protocol
-cannot be swept: use replications and protocol = both.
+Every sweep point is validated before the first run. Any scalar SimConfig
+field can be swept, the energy fields included; seed and protocol cannot:
+use replications and protocol = both.
 
 Exit codes: 0 success, 1 config error, 2 runtime/IO error.
 """
@@ -42,17 +43,14 @@ from .analysis import (
     summary_to_json,
     write_metrics_csv,
 )
-from .engine import PROTOCOLS, EnergyModel, SimConfig, simulate
+from .engine import PROTOCOLS, SimConfig, simulate
 
 PROTOCOL_CHOICES = (*PROTOCOLS, "both")
 
 _SIM_FIELDS = typing.get_type_hints(SimConfig)
-_ENERGY_FIELDS = typing.get_type_hints(EnergyModel)
-_FIELD_TYPES = {**_SIM_FIELDS, **_ENERGY_FIELDS}
 
 # SimConfig fields a [sweep] cannot vary, with a hint where one helps.
 _UNSWEEPABLE = {
-    "energy": "",
     "failure_injections": "",
     "seed": "; use replications = N for seeds seed .. seed + N - 1",
     "protocol": "; use protocol = both for paired sentinel/PEAS runs",
@@ -63,8 +61,13 @@ class ConfigError(ValueError):
     """Config file problem, annotated with the offending line number."""
 
 
-class SweepPointError(ValueError):
-    """A sweep point whose overrides make an invalid SimConfig."""
+class SweepError(ValueError):
+    """A sweep that cannot run, with the key at fault so a parser can cite its
+    lines; key None when a point's overrides make an invalid SimConfig."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 def _sweep_key_problem(name: str) -> str | None:
@@ -88,12 +91,15 @@ class ExperimentSpec:
             raise ValueError(f"protocol must be one of {PROTOCOL_CHOICES}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        names = [name for name, _ in self.sweep]
         for name, values in self.sweep:
             problem = _sweep_key_problem(name)
             if problem:
                 raise ValueError(problem)
             if not values:
                 raise ValueError(f"sweep parameter {name!r} has no values")
+            if names.count(name) > 1:  # its points would all run the last values
+                raise SweepError(f"sweep key {name!r} is repeated", name)
         seen = set()
         for point, overrides in _sweep_points(self):
             config = replace(self.base, **overrides)
@@ -109,12 +115,12 @@ class ExperimentSpec:
             except ValueError as exc:
                 if not self.sweep:
                     raise
-                raise SweepPointError(f"sweep point {point!r}: {exc}") from exc
+                raise SweepError(f"sweep point {point!r}: {exc}") from exc
 
 
 def _parse_scalar(key: str, raw: str, lineno: int):
     raw = raw.strip()
-    kind = _FIELD_TYPES[key]
+    kind = _SIM_FIELDS[key]
     try:
         if kind is bool:
             low = raw.lower()
@@ -158,8 +164,7 @@ def parse_config(text: str) -> ExperimentSpec:
     """
     spec = ExperimentSpec()
     sim_kwargs: dict = {}
-    energy_kwargs: dict = {}
-    sweep_lines: dict[str, int] = {}  # sweep key -> its line
+    sweep_lines: list[tuple[str, int]] = []  # (sweep key, its line)
     section = ""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -173,24 +178,16 @@ def parse_config(text: str) -> ExperimentSpec:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if section == "energy":
-            if key not in _ENERGY_FIELDS:
-                raise ConfigError(f"line {lineno}: unknown energy key {key!r}")
-            energy_kwargs[key] = _parse_scalar(key, raw, lineno)
-        elif section == "sweep":
+        if section == "sweep":
             problem = _sweep_key_problem(key)
             if problem:
                 raise ConfigError(f"line {lineno}: {problem}")
-            if key in sweep_lines:  # its points would all run the last values
-                raise ConfigError(
-                    f"lines {sweep_lines[key]}, {lineno}: sweep key {key!r} is repeated"
-                )
             values = [_parse_scalar(key, v, lineno) for v in raw.split(",") if v.strip()]
             if not values:
                 raise ConfigError(f"line {lineno}: sweep key {key!r} has no values")
             spec.sweep.append((key, values))
-            sweep_lines[key] = lineno
-        else:  # top level / [simulation]
+            sweep_lines.append((key, lineno))
+        else:  # top level / [simulation] / [energy]
             if key == "replications":
                 try:
                     spec.replications = int(raw)
@@ -207,19 +204,17 @@ def parse_config(text: str) -> ExperimentSpec:
                 spec.protocol = raw
             elif key == "failure_injections":
                 sim_kwargs["failure_injections"] = _parse_failures(raw, lineno)
-            elif key in _SIM_FIELDS and key not in ("energy", "protocol"):
+            elif key in _SIM_FIELDS:
                 sim_kwargs[key] = _parse_scalar(key, raw, lineno)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    if energy_kwargs:
-        sim_kwargs["energy"] = EnergyModel(**energy_kwargs)
     spec.base = SimConfig(**sim_kwargs)
     try:
         spec.validate()
-    except SweepPointError as exc:
-        where = "line" if len(sweep_lines) == 1 else "lines"
-        lines = ", ".join(map(str, sweep_lines.values()))
-        raise ConfigError(f"{where} {lines}: {exc}") from exc
+    except SweepError as exc:
+        lines = [str(n) for key, n in sweep_lines if exc.key in (None, key)]
+        where = "line" if len(lines) == 1 else "lines"
+        raise ConfigError(f"{where} {', '.join(lines)}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return spec

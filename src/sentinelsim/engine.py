@@ -44,34 +44,6 @@ _WAKE, _TIMEOUT, _DELIVERY, _SAMPLE, _FAILURE, _END = EventKind
 _SLEEPING, _PROBING, _ACTIVE, _DEAD = NodeState
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Per-state draws in watts, per-message costs in joules.
-
-    The active draw blends sensing duty with a mostly idle radio, so it sits
-    below the full probe-listen draw. Defaults approximate a low-rate sensor
-    mote on a 2xAA pack.
-    """
-
-    p_sleep: float = 3e-6
-    p_probe_listen: float = 0.060
-    p_active: float = 0.015
-    e_tx: float = 50e-6
-    e_rx: float = 50e-6
-    initial_energy: float = 18_720.0
-
-    def validate(self) -> None:
-        _require_finite(self)
-        if self.p_sleep < 0:
-            raise ValueError(f"p_sleep must be >= 0, got {self.p_sleep}")
-        if self.p_sleep >= self.p_probe_listen or self.p_sleep >= self.p_active:
-            raise ValueError("p_sleep must be below the probing and active draws")
-        if self.e_tx < 0 or self.e_rx < 0:
-            raise ValueError("per-message energies must be >= 0")
-        if self.initial_energy <= 0:
-            raise ValueError(f"initial_energy must be positive, got {self.initial_energy}")
-
-
 @dataclass
 class SimConfig:
     """Full description of one simulation run."""
@@ -114,11 +86,23 @@ class SimConfig:
     peas_probing_range: float | None = None  # None: use delta
     metrics_interval: float = 10.0  # s
     coverage_resolution: float = 1.0  # m per grid cell
-    energy: EnergyModel = field(default_factory=EnergyModel)
+    # Energy model: per-state draws in watts, per-message costs in joules.
+    # The active draw blends sensing duty with a mostly idle radio, so it sits
+    # below the full probe-listen draw. Defaults approximate a low-rate sensor
+    # mote on a 2xAA pack.
+    p_sleep: float = 3e-6          # W
+    p_probe_listen: float = 0.060  # W
+    p_active: float = 0.015        # W
+    e_tx: float = 50e-6            # J per frame sent
+    e_rx: float = 50e-6            # J per frame received
+    initial_energy: float = 18_720.0  # J per node
     failure_injections: list[tuple[int, float]] = field(default_factory=list)
 
     def validate(self) -> None:
-        _require_finite(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.field_width <= 0 or self.field_height <= 0:
             raise ValueError("field dimensions must be positive")
         if self.n_nodes < 0:
@@ -157,12 +141,21 @@ class SimConfig:
             raise ValueError(f"age_tie_margin must be >= 0, got {self.age_tie_margin}")
         if self.ts_initial <= 0:
             raise ValueError(f"ts_initial must be positive, got {self.ts_initial}")
+        if self.t_sleep_max_scale <= 0:  # 0: nodes never sleep; below: wakes in the past
+            raise ValueError(f"t_sleep_max_scale must be positive, got {self.t_sleep_max_scale}")
         positive = ("metrics_interval", "coverage_resolution", "lambda_peas", "peas_probing_range")
         for name in positive:  # None (lambda_peas, peas_probing_range) means derived
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        self.energy.validate()
+        if self.p_sleep < 0:
+            raise ValueError(f"p_sleep must be >= 0, got {self.p_sleep}")
+        if self.p_sleep >= self.p_probe_listen or self.p_sleep >= self.p_active:
+            raise ValueError("p_sleep must be below the probing and active draws")
+        if self.e_tx < 0 or self.e_rx < 0:
+            raise ValueError("per-message energies must be >= 0")
+        if self.initial_energy <= 0:
+            raise ValueError(f"initial_energy must be positive, got {self.initial_energy}")
         for node_id, when in self.failure_injections:
             if not 0 <= node_id < self.n_nodes:
                 raise ValueError(f"failure injection names unknown node id {node_id}")
@@ -175,14 +168,6 @@ class SimConfig:
     @property
     def airtime(self) -> float:
         return self.msg_size * 8.0 / self.bitrate
-
-
-def _require_finite(obj) -> None:
-    """Reject NaN and infinite values in any float field of a config dataclass."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 class Frame:
@@ -231,9 +216,9 @@ class World:
         self._sampled_ids: tuple[int, ...] | None = None
         self._sampled_coverage = 0.0
         self._power = {
-            NodeState.SLEEPING: config.energy.p_sleep,
-            NodeState.PROBING: config.energy.p_probe_listen,
-            NodeState.ACTIVE: config.energy.p_active,
+            NodeState.SLEEPING: config.p_sleep,
+            NodeState.PROBING: config.p_probe_listen,
+            NodeState.ACTIVE: config.p_active,
             NodeState.DEAD: 0.0,
         }
         self._finished = False
@@ -369,7 +354,7 @@ class World:
             self.probes_sent += 1
         else:
             self.replies_sent += 1
-        e_tx = cfg.energy.e_tx
+        e_tx = cfg.e_tx
         if e_tx < sender.initial_energy - sender.spent_total:
             sender.spent_tx += e_tx
             sender.spent_total += e_tx
@@ -423,7 +408,7 @@ def deploy(
             state=NodeState.SLEEPING,
             probe_rate=rate,
             wake_deadline=initial_sleeps[i],
-            initial_energy=config.energy.initial_energy,
+            initial_energy=config.initial_energy,
         )
         world.nodes.append(node)
 
@@ -466,7 +451,7 @@ def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
 
 def _handle_delivery(world: World, frame: Frame, now: float) -> None:
     cfg = world.config
-    e_rx = cfg.energy.e_rx
+    e_rx = cfg.e_rx
     jitter = cfg.reply_jitter
     dropped = frame.dropped
     radio_on = world._radio_on

@@ -239,6 +239,19 @@ def test_mismatched_configs_rejected():
         compare_runs(a, c)
 
 
+@pytest.mark.parametrize(
+    "name", ["p_sleep", "p_probe_listen", "p_active", "e_tx", "e_rx", "initial_energy"]
+)
+def test_runs_with_different_energy_models_rejected(name):
+    a = make_result(SimConfig(n_nodes=10), [make_row(total_energy_consumed=1.0)])
+    other = SimConfig(n_nodes=10, **{name: getattr(a.config, name) * 0.5})
+    b = make_result(other, [make_row(total_energy_consumed=1.0)])
+    with pytest.raises(ValueError, match=f"{name} differs"):
+        compare_runs(a, b)
+    with pytest.raises(ValueError, match=f"{name} differs"):
+        compare_runs(b, a)
+
+
 def test_idle_baseline_has_no_ratio():
     sent = make_result(SimConfig(n_nodes=10), [make_row(total_energy_consumed=1.0)])
     peas = make_result(SimConfig(n_nodes=10), [make_row(total_energy_consumed=0.0)])

@@ -1,5 +1,6 @@
 """Config parsing, experiment execution, output layout, reproducibility."""
 
+import csv
 import json
 import typing
 
@@ -13,13 +14,15 @@ from sentinelsim.cli import (
     parse_config,
     run_experiment,
 )
-from sentinelsim.engine import EnergyModel, SimConfig
+from sentinelsim.engine import SimConfig
 
 FAST = """
 n_nodes = 40
 duration = 200
 seed = 9
 """
+
+ENERGY_FIELDS = ("p_sleep", "p_probe_listen", "p_active", "e_tx", "e_rx", "initial_energy")
 
 
 def test_empty_text_yields_all_defaults():
@@ -62,8 +65,8 @@ def test_type_mismatch_reported_with_line_number():
 
 def test_energy_section():
     spec = parse_config("[energy]\np_active = 0.02\ninitial_energy = 500")
-    assert spec.base.energy.p_active == 0.02
-    assert spec.base.energy.initial_energy == 500.0
+    assert spec.base.p_active == 0.02
+    assert spec.base.initial_energy == 500.0
     with pytest.raises(ConfigError):
         parse_config("[energy]\nvoltage = 3")
 
@@ -223,6 +226,7 @@ def test_main_overrides_and_exit_codes(tmp_path):
         ("[sweep]\ndelta = 10.0000001, 10.0000002", ["line 2", "delta_10"]),
         ("protocol = both\nn_nodes = 0\nduration = 100", ["protocol = both", "n_nodes"]),
         ("[sweep]\nn_nodes = 10, 20\nn_nodes = 30", ["lines 2, 3", "'n_nodes'", "repeated"]),
+        ("t_sleep_max_scale = -1", ["t_sleep_max_scale"]),
     ],
     ids=[
         "invalid_base",
@@ -236,6 +240,7 @@ def test_main_overrides_and_exit_codes(tmp_path):
         "colliding_point_names",
         "paired_no_nodes",
         "repeated_sweep_key",
+        "negative_sleep_ceiling",
     ],
 )
 def test_main_reports_config_errors(tmp_path, capsys, text, expected):
@@ -259,24 +264,49 @@ def test_sweep_over_an_optional_value_names_the_none_point(tmp_path):
 
 
 def test_every_scalar_field_parses_to_its_declared_type():
-    # each scalar field of SimConfig and EnergyModel, written out as text,
-    # comes back from the parser with the type the dataclass declares
+    # each scalar field of SimConfig, written out as text (the energy fields
+    # under their [energy] heading), comes back from the parser with the type
+    # the dataclass declares
     scalars = (bool, int, float, str, float | None)
     sim = {k: t for k, t in typing.get_type_hints(SimConfig).items() if t in scalars}
-    energy = typing.get_type_hints(EnergyModel)
-    defaults, base_energy = SimConfig(), EnergyModel()
-    sample = lambda obj, key: "0.5" if getattr(obj, key) is None else str(getattr(obj, key))
-    text = "\n".join(f"{k} = {sample(defaults, k)}" for k in sim)
-    text += "\n[energy]\n" + "\n".join(f"{k} = {sample(base_energy, k)}" for k in energy)
+    defaults = SimConfig()
+    sample = lambda key: "0.5" if getattr(defaults, key) is None else str(getattr(defaults, key))
+    text = "\n".join(f"{k} = {sample(k)}" for k in sim if k not in ENERGY_FIELDS)
+    text += "\n[energy]\n" + "\n".join(f"{k} = {sample(k)}" for k in ENERGY_FIELDS)
     spec = parse_config(text)
     assert "lambda_peas" in sim and "collisions" in sim and "n_nodes" in sim
-    for obj, hints in ((spec.base, sim), (spec.base.energy, energy)):
-        for key, declared in hints.items():
-            value = getattr(obj, key)
-            allowed = typing.get_args(declared) or (declared,)
-            assert type(value) in allowed, (key, value, declared)
+    assert set(ENERGY_FIELDS) <= set(sim)
+    for key, declared in sim.items():
+        value = getattr(spec.base, key)
+        allowed = typing.get_args(declared) or (declared,)
+        assert type(value) in allowed, (key, value, declared)
     assert spec.base.lambda_peas == 0.5
-    assert spec.base.energy == base_energy
+    assert [getattr(spec.base, k) for k in ENERGY_FIELDS] == [
+        getattr(defaults, k) for k in ENERGY_FIELDS
+    ]
+
+
+def test_energy_fields_sweep_like_any_other(tmp_path):
+    # a 1 J budget runs out within 300 s, the default 18,720 J does not
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "protocol = both\nn_nodes = 40\nduration = 300\nseed = 9\n"
+        "[sweep]\ninitial_energy = 1, 1000\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--output", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+        "initial_energy_1",
+        "initial_energy_1000",
+    ]
+
+    def final_dead(point, proto):
+        with open(out / point / f"{proto}_rep0" / "metrics.csv", newline="") as fh:
+            return int(list(csv.DictReader(fh))[-1]["dead_count"])
+
+    for proto in ("sentinel", "peas"):
+        assert final_dead("initial_energy_1", proto) > 0, proto
+        assert final_dead("initial_energy_1000", proto) == 0, proto
 
 
 def test_spec_validation():
@@ -287,6 +317,10 @@ def test_spec_validation():
     spec = ExperimentSpec()
     spec.sweep = [("not_a_field", [1])]
     with pytest.raises(ValueError):
+        spec.validate()
+    # a spec built in code, not parsed, is held to the same one-line-per-key rule
+    spec = ExperimentSpec(sweep=[("n_nodes", [10, 20]), ("n_nodes", [30])])
+    with pytest.raises(ValueError, match="'n_nodes' is repeated"):
         spec.validate()
 
 

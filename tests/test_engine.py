@@ -8,7 +8,6 @@ import pytest
 
 from sentinelsim.analysis import CoverageGrid, coverage_fraction
 from sentinelsim.engine import (
-    EnergyModel,
     EventKind,
     SimConfig,
     SimError,
@@ -55,6 +54,8 @@ def small_config(**kw):
         dict(delta=30.0, r_sense=10.0),
         dict(coverage_resolution=0.0),
         dict(age_tie_margin=-1.0),
+        dict(t_sleep_max_scale=0.0),
+        dict(t_sleep_max_scale=-1.0),
     ],
 )
 def test_invalid_configs_rejected(kw):
@@ -66,13 +67,13 @@ def test_invalid_configs_rejected(kw):
 
 def test_energy_model_validation():
     with pytest.raises(ValueError):
-        EnergyModel(p_sleep=0.1).validate()
+        SimConfig(p_sleep=0.1).validate()
     with pytest.raises(ValueError):
-        EnergyModel(initial_energy=0.0).validate()
+        SimConfig(initial_energy=0.0).validate()
     with pytest.raises(ValueError):
-        EnergyModel(p_active=math.nan).validate()
+        SimConfig(p_active=math.nan).validate()
     with pytest.raises(ValueError):
-        EnergyModel(initial_energy=math.inf).validate()
+        SimConfig(initial_energy=math.inf).validate()
 
 
 def _float_fields(cls):
@@ -83,12 +84,10 @@ def _float_fields(cls):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_every_non_finite_float_field_rejected(bad):
     assert "lambda_peas" in _float_fields(SimConfig)  # optional floats included
+    assert "initial_energy" in _float_fields(SimConfig)  # and the energy model
     for name in _float_fields(SimConfig):
         with pytest.raises(ValueError, match=name):
             SimConfig(n_nodes=10, **{name: bad}).validate()
-    for name in _float_fields(EnergyModel):
-        with pytest.raises(ValueError, match=name):
-            EnergyModel(**{name: bad}).validate()
 
 
 # -- deployment ----------------------------------------------------------------
@@ -121,7 +120,7 @@ def test_deployment_positions_within_field_and_sleeps_in_window():
         assert 0.0 <= node.x <= 50.0 and 0.0 <= node.y <= 50.0
         assert 0.0 < node.wake_deadline <= cfg.ts_initial
         assert node.state is NodeState.SLEEPING
-        assert node.energy_remaining == cfg.energy.initial_energy
+        assert node.energy_remaining == cfg.initial_energy
 
 
 def test_duration_zero_produces_single_row_and_no_activity():
@@ -146,14 +145,14 @@ def test_lone_node_probes_k_times_then_stands_guard():
 
 def test_lone_node_drains_to_death():
     # active draw 15 mW: a 0.01 J budget above the probing cost dies ~0.667 s in
-    energy = EnergyModel(initial_energy=0.0108 + 3 * 50e-6 + 2e-6 * 3)
-    cfg = small_config(n_nodes=1, duration=3000.0, energy=energy)
+    budget = 0.0108 + 3 * 50e-6 + 2e-6 * 3
+    cfg = small_config(n_nodes=1, duration=3000.0, initial_energy=budget)
     world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
     run(world)
     node = world.nodes[0]
     assert node.state is NodeState.DEAD
     assert node.energy_remaining == 0.0
-    assert node.spent_total == energy.initial_energy
+    assert node.spent_total == cfg.initial_energy
 
 
 def test_active_interval_drains_state_power_exactly():
@@ -161,11 +160,10 @@ def test_active_interval_drains_state_power_exactly():
     cfg = small_config(n_nodes=1, duration=14.0)
     world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
     run(world)
-    e = cfg.energy
-    expected_state = e.p_sleep * 1.0 + e.p_probe_listen * 3.0 + e.p_active * 10.0
+    expected_state = cfg.p_sleep * 1.0 + cfg.p_probe_listen * 3.0 + cfg.p_active * 10.0
     node = world.nodes[0]
     assert node.spent_state == pytest.approx(expected_state, rel=1e-12)
-    assert node.spent_tx == pytest.approx(3 * e.e_tx, rel=1e-12)
+    assert node.spent_tx == pytest.approx(3 * cfg.e_tx, rel=1e-12)
     assert node.spent_rx == 0.0
 
 
@@ -243,7 +241,7 @@ def test_abutting_frames_both_arrive(force_state):
     world.broadcast(b, ProbeRequest(b.id, b.position), 5.0 + cfg.airtime)  # a's end
     run(world, duration=6.0)
     assert world.collisions == 0
-    assert c.spent_rx == pytest.approx(2 * cfg.energy.e_rx, rel=1e-12)
+    assert c.spent_rx == pytest.approx(2 * cfg.e_rx, rel=1e-12)
 
 
 def test_frame_overlapping_two_inflight_frames_collides_once(force_state):
@@ -268,7 +266,7 @@ def test_overlapping_frames_all_arrive_without_the_collision_model(force_state):
     world.broadcast(d, ProbeRequest(d.id, d.position), 5.0004)
     run(world, duration=6.0)
     assert world.collisions == 0
-    assert c.spent_rx == pytest.approx(3 * cfg.energy.e_rx, rel=1e-12)
+    assert c.spent_rx == pytest.approx(3 * cfg.e_rx, rel=1e-12)
 
 
 def test_sleeping_receiver_hears_nothing_and_never_collides(force_state):
@@ -322,7 +320,7 @@ def test_first_valid_reply_wins_and_later_ones_find_radio_off(force_state):
     assert prober.state is NodeState.SLEEPING
     assert world.replies_sent == 2
     assert world.replies_received == 1
-    assert prober.spent_rx == pytest.approx(cfg.energy.e_rx, rel=1e-12)
+    assert prober.spent_rx == pytest.approx(cfg.e_rx, rel=1e-12)
 
 
 @pytest.mark.xfail(
@@ -409,13 +407,12 @@ def test_energy_ledger_reconciles_on_a_real_run():
 
 
 def test_dead_nodes_stop_consuming():
-    energy = EnergyModel(initial_energy=0.02)
-    cfg = small_config(n_nodes=1, duration=2000.0, energy=energy)
+    cfg = small_config(n_nodes=1, duration=2000.0, initial_energy=0.02)
     world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
     run(world)
     node = world.nodes[0]
     assert node.state is NodeState.DEAD
-    assert node.spent_total == energy.initial_energy
+    assert node.spent_total == cfg.initial_energy
     # totals frozen across the remaining samples
     trailing = {row.total_energy_consumed for row in world.result.rows if row.time > 100.0}
     assert len(trailing) == 1
@@ -465,11 +462,9 @@ def test_killed_guard_leaves_hole_until_reserve_wakes():
 
 def test_guard_dead_of_depletion_leaves_no_coverage():
     # wake at 1 s, three 1 s probe windows, then 9.5 s on duty at 15 mW
-    e = EnergyModel()
+    e = SimConfig()
     budget = e.p_sleep * 1.0 + (e.p_probe_listen + e.e_tx) * 3.0 + e.p_active * 9.5
-    cfg = small_config(
-        n_nodes=1, duration=30.0, metrics_interval=1.0, energy=EnergyModel(initial_energy=budget)
-    )
+    cfg = small_config(n_nodes=1, duration=30.0, metrics_interval=1.0, initial_energy=budget)
     world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
     result = run(world)
     first_dead = next(i for i, row in enumerate(result.rows) if row.dead_count == 1)
@@ -494,9 +489,8 @@ def test_sampler_sees_guards_placed_between_samples(force_state):
 
 
 def test_killing_a_dead_node_is_a_noop():
-    energy = EnergyModel(initial_energy=0.02)
     cfg = small_config(
-        n_nodes=1, duration=2000.0, energy=energy, failure_injections=[(0, 1500.0)]
+        n_nodes=1, duration=2000.0, initial_energy=0.02, failure_injections=[(0, 1500.0)]
     )
     world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
     result = run(world)  # node died of depletion long before the injection

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from sentinelsim import EnergyModel, SimConfig, World, deploy, run, summarize
+from sentinelsim import SimConfig, World, deploy, run, summarize
 from sentinelsim.analysis import metrics_to_csv, summary_to_json
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
@@ -55,15 +55,13 @@ SCENARIOS = {
     # every node runs its budget down: the only gate on the depletion branch
     # of the energy ledger. Most die of state power; one node of the sentinel
     # run dies of a reception, one of the PEAS run of a transmission.
-    "depletion": dict(
-        n_nodes=60, duration=3000.0, seed=10, energy=EnergyModel(initial_energy=2.0)
-    ),
+    "depletion": dict(n_nodes=60, duration=3000.0, seed=10, initial_energy=2.0),
     "depletion_peas": dict(
         n_nodes=60,
         duration=3000.0,
         seed=38,
         protocol="peas",
-        energy=EnergyModel(initial_energy=2.0),
+        initial_energy=2.0,
     ),
 }
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentinelsim.analysis import metrics_to_csv, overhead_report
-from sentinelsim.engine import PROTOCOLS, EnergyModel, SimConfig, deploy, run, simulate
+from sentinelsim.engine import PROTOCOLS, SimConfig, deploy, run, simulate
 from sentinelsim.protocol import NodeState
 
 LEDGER_TOLERANCE = 1e-9
@@ -21,10 +21,7 @@ plain_configs = st.builds(
     loss_probability=st.floats(0.0, 0.5),
     k_probes=st.integers(1, 3),
     # a few joules run out within the run, so the depletion path is exercised
-    energy=st.one_of(
-        st.just(EnergyModel()),
-        st.builds(EnergyModel, initial_energy=st.floats(0.5, 3.0)),
-    ),
+    initial_energy=st.one_of(st.just(SimConfig().initial_energy), st.floats(0.5, 3.0)),
 )
 
 
