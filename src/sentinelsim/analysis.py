@@ -212,8 +212,6 @@ def compare_runs(sentinel: RunResult, baseline: RunResult) -> float | None:
 
 def format_csv_value(value: float | int) -> str:
     """Fixed 6-decimal notation for floats, bare digits for ints."""
-    if isinstance(value, bool):  # guard: bool is an int subclass
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     return f"{value:.6f}"
@@ -234,18 +232,18 @@ def write_metrics_csv(rows: Sequence[MetricsRecord], path) -> None:
         fh.write(metrics_to_csv(rows))
 
 
-def summary_to_json(report: SummaryReport, config=None) -> str:
-    """Serialize a summary; unrecovered holes become null latencies."""
+def summary_to_json(report: SummaryReport, config) -> str:
+    """Serialize a summary with the run's key config fields; unrecovered holes
+    become null latencies."""
     payload = asdict(report)
     payload["recovery_latencies"] = [
         None if math.isinf(lat) else lat for lat in report.recovery_latencies
     ]
-    if config is not None:
-        payload["config"] = {
-            "protocol": config.protocol,
-            "seed": config.seed,
-            "n_nodes": config.n_nodes,
-            "duration": config.duration,
-            "beta": config.beta,
-        }
+    payload["config"] = {
+        "protocol": config.protocol,
+        "seed": config.seed,
+        "n_nodes": config.n_nodes,
+        "duration": config.duration,
+        "beta": config.beta,
+    }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
-import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -43,11 +42,9 @@ from .analysis import (
     summary_to_json,
     write_metrics_csv,
 )
-from .engine import PROTOCOLS, SimConfig, simulate
+from .engine import FIELD_TYPES, PROTOCOLS, SimConfig, simulate
 
 PROTOCOL_CHOICES = (*PROTOCOLS, "both")
-
-_SIM_FIELDS = typing.get_type_hints(SimConfig)
 
 # SimConfig fields a [sweep] cannot vary, with a hint where one helps.
 _UNSWEEPABLE = {
@@ -71,7 +68,7 @@ class SweepError(ValueError):
 
 
 def _sweep_key_problem(name: str) -> str | None:
-    if name not in _SIM_FIELDS or name in _UNSWEEPABLE:
+    if name not in FIELD_TYPES or name in _UNSWEEPABLE:
         return f"cannot sweep over {name!r}{_UNSWEEPABLE.get(name, '')}"
     return None
 
@@ -120,7 +117,7 @@ class ExperimentSpec:
 
 def _parse_scalar(key: str, raw: str, lineno: int):
     raw = raw.strip()
-    kind = _SIM_FIELDS[key]
+    kind = FIELD_TYPES[key]
     try:
         if kind is bool:
             low = raw.lower()
@@ -204,7 +201,7 @@ def parse_config(text: str) -> ExperimentSpec:
                 spec.protocol = raw
             elif key == "failure_injections":
                 sim_kwargs["failure_injections"] = _parse_failures(raw, lineno)
-            elif key in _SIM_FIELDS:
+            elif key in FIELD_TYPES:
                 sim_kwargs[key] = _parse_scalar(key, raw, lineno)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")

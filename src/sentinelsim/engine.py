@@ -10,8 +10,10 @@ replay identical runs. Concurrency is only sensible across worlds.
 from __future__ import annotations
 
 import math
+import numbers
 import random
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from heapq import heappop, heappush
 
@@ -99,63 +101,43 @@ class SimConfig:
     failure_injections: list[tuple[int, float]] = field(default_factory=list)
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.field_width <= 0 or self.field_height <= 0:
-            raise ValueError("field dimensions must be positive")
-        if self.n_nodes < 0:
-            raise ValueError(f"n_nodes must be >= 0, got {self.n_nodes}")
-        if self.r_sense <= 0 or self.r_comm <= 0 or self.delta <= 0:
-            raise ValueError("radii and delta must be positive")
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not _fits(value, kind):
+                expected = kind if typing.get_origin(kind) else kind.__name__
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in _POSITIVE:  # None (lambda_peas, peas_probing_range) means derived
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        # age_tie_margin < 0: both sides of a conflict withdraw
+        for name in ("n_nodes", "duration", "age_tie_margin", "p_sleep", "e_tx", "e_rx"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.delta > 2.0 * self.r_sense:
             raise ValueError(
                 f"delta must be <= 2 * r_sense ({2 * self.r_sense}), got {self.delta}"
             )
         if self.r_comm < self.r_sense:
             raise ValueError(f"r_comm ({self.r_comm}) must be >= r_sense ({self.r_sense})")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError(
                 f"loss_probability must lie in [0, 1), got {self.loss_probability}"
             )
-        if self.t_w <= 0:
-            raise ValueError(f"t_w must be positive, got {self.t_w}")
         if self.k_probes < 1:
             raise ValueError(f"k_probes must be >= 1, got {self.k_probes}")
-        if self.msg_size <= 0:
-            raise ValueError(f"msg_size must be positive, got {self.msg_size}")
-        if self.bitrate <= 0:
-            raise ValueError(f"bitrate must be positive, got {self.bitrate}")
-        if self.beta <= 0 or self.lambda_init <= 0:
-            raise ValueError("beta and lambda_init must be positive")
-        if self.lambda_min <= 0 or self.lambda_max < self.lambda_min:
-            raise ValueError("need 0 < lambda_min <= lambda_max")
+        if self.lambda_max < self.lambda_min:
+            raise ValueError(
+                f"lambda_max ({self.lambda_max}) must be >= lambda_min ({self.lambda_min})"
+            )
         if self.reply_jitter < 0 or self.reply_jitter >= self.t_w:
             raise ValueError("reply_jitter must lie in [0, t_w)")
-        if self.age_tie_margin < 0:  # negative: both sides of a conflict withdraw
-            raise ValueError(f"age_tie_margin must be >= 0, got {self.age_tie_margin}")
-        if self.ts_initial <= 0:
-            raise ValueError(f"ts_initial must be positive, got {self.ts_initial}")
-        if self.t_sleep_max_scale <= 0:  # 0: nodes never sleep; below: wakes in the past
-            raise ValueError(f"t_sleep_max_scale must be positive, got {self.t_sleep_max_scale}")
-        positive = ("metrics_interval", "coverage_resolution", "lambda_peas", "peas_probing_range")
-        for name in positive:  # None (lambda_peas, peas_probing_range) means derived
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.p_sleep < 0:
-            raise ValueError(f"p_sleep must be >= 0, got {self.p_sleep}")
         if self.p_sleep >= self.p_probe_listen or self.p_sleep >= self.p_active:
             raise ValueError("p_sleep must be below the probing and active draws")
-        if self.e_tx < 0 or self.e_rx < 0:
-            raise ValueError("per-message energies must be >= 0")
-        if self.initial_energy <= 0:
-            raise ValueError(f"initial_energy must be positive, got {self.initial_energy}")
         for node_id, when in self.failure_injections:
             if not 0 <= node_id < self.n_nodes:
                 raise ValueError(f"failure injection names unknown node id {node_id}")
@@ -168,6 +150,36 @@ class SimConfig:
     @property
     def airtime(self) -> float:
         return self.msg_size * 8.0 / self.bitrate
+
+
+# Each field's declared type, read once; the CLI parses values by it too.
+FIELD_TYPES = typing.get_type_hints(SimConfig)
+
+# Fields that must be > 0. t_sleep_max_scale = 0 means nodes never sleep, and
+# below 0 they wake in the past.
+_POSITIVE = (
+    "field_width", "field_height", "r_sense", "r_comm", "delta", "t_w", "msg_size",
+    "bitrate", "beta", "lambda_init", "lambda_min", "ts_initial", "t_sleep_max_scale",
+    "lambda_peas", "peas_probing_range", "metrics_interval", "coverage_resolution",
+    "initial_energy",
+)
+
+
+# The number types each numeric annotation accepts; a bool is never a number.
+_NUMBERS = {int: numbers.Integral, float: numbers.Real, float | None: (numbers.Real, type(None))}
+
+
+def _fits(value, kind) -> bool:
+    """Whether value has a field's declared type; an int is a real number."""
+    if kind in _NUMBERS:
+        return isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool)
+    if kind is bool or kind is str:
+        return isinstance(value, kind)
+    # failure_injections: (node id, time) pairs
+    return isinstance(value, list) and all(
+        isinstance(e, (tuple, list)) and len(e) == 2 and _fits(e[0], int) and _fits(e[1], float)
+        for e in value
+    )
 
 
 class Frame:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .scheduling import WeibullParams, sample_sleep_time, update_probe_rate
+from .scheduling import sample_sleep_time, update_probe_rate, weibull_params
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -52,10 +51,13 @@ ALLOWED_TRANSITIONS = frozenset(
 
 @dataclass(frozen=True)
 class ProbeRequest:
-    """Broadcast by a waking node looking for a nearby guard."""
+    """Broadcast by a waking node looking for a nearby guard.
+
+    A guard answers every probe it hears, wherever the prober stands, so the
+    request carries only its sender.
+    """
 
     sender_id: int
-    sender_position: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -140,12 +142,6 @@ def go_to_sleep(node: SensorNode, now: float, t_s: float) -> None:
     node.wake_deadline = now + t_s
 
 
-# WeibullParams is frozen, so one instance serves every sleep at the same rate
-# and shape; most cycles sleep at lambda_max. A failed construction is not
-# cached and raises again on the next call.
-_weibull = lru_cache(maxsize=16)(WeibullParams)
-
-
 def _adapt_and_sleep(node: SensorNode, config: SimConfig, now: float, r: float) -> None:
     """Refresh the probe rate from the network age, then sleep for a Weibull
     duration at the new rate drawn with the uniform r."""
@@ -156,7 +152,7 @@ def _adapt_and_sleep(node: SensorNode, config: SimConfig, now: float, r: float) 
         lambda_min=config.lambda_min,
         lambda_max=config.lambda_max,
     )
-    weib = _weibull(1.0 / node.probe_rate, config.beta)
+    weib = weibull_params(1.0 / node.probe_rate, config.beta)
     t_s = sample_sleep_time(
         weib,
         r,
@@ -189,7 +185,7 @@ def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest | N
         )
     change_state(node, _PROBING)
     node.probes_sent_this_round = 1
-    return ProbeRequest(node.id, (node.x, node.y))
+    return ProbeRequest(node.id)
 
 
 def on_probe_request(node: SensorNode, msg: ProbeRequest, now: float) -> ProbeReply | None:
@@ -236,7 +232,7 @@ def on_reply_timeout(node: SensorNode, config: SimConfig, now: float) -> ProbeRe
         )
     if node.probes_sent_this_round < config.k_probes:
         node.probes_sent_this_round += 1
-        return ProbeRequest(node.id, (node.x, node.y))
+        return ProbeRequest(node.id)
     change_state(node, _ACTIVE)
     node.activity_start = now
     node.probes_sent_this_round = 0

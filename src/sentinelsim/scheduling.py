@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Default probe-rate bounds. The hazard update grows without bound as time
 # advances, so callers clamp the result to keep nodes schedulable.
@@ -30,14 +31,16 @@ class WeibullParams:
     beta: float
 
     def __post_init__(self) -> None:
-        _check_shape(self.alpha, self.beta)
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
-def _check_shape(alpha: float, beta: float) -> None:
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+# WeibullParams is frozen, so one instance serves every sleep at the same rate
+# and shape; most cycles sleep at lambda_max. A failed construction is not
+# cached and raises again on the next call.
+weibull_params = lru_cache(maxsize=16)(WeibullParams)
 
 
 def weibull_survival(t: float, params: WeibullParams) -> float:
@@ -82,10 +85,7 @@ def hazard_rate(t: float, params: WeibullParams) -> float:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return _hazard(t, params.alpha, params.beta)
-
-
-def _hazard(t: float, alpha: float, beta: float) -> float:
+    alpha, beta = params.alpha, params.beta
     if t == 0.0 and beta < 1.0:
         return math.inf
     return (beta / alpha) * (t / alpha) ** (beta - 1.0)
@@ -109,10 +109,5 @@ def update_probe_rate(
     """
     if not (lambda_old > 0 and math.isfinite(lambda_old)):
         raise ValueError(f"lambda_old must be positive and finite, got {lambda_old}")
-    if t_network < 0:
-        raise ValueError(f"t_network must be >= 0, got {t_network}")
-    # the checks and hazard of WeibullParams(1 / lambda_old, beta), without
-    # building the params object: this runs once per probe cycle
-    alpha = 1.0 / lambda_old
-    _check_shape(alpha, beta)
-    return min(max(_hazard(t_network, alpha, beta), lambda_min), lambda_max)
+    params = weibull_params(1.0 / lambda_old, beta)
+    return min(max(hazard_rate(t_network, params), lambda_min), lambda_max)

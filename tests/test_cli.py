@@ -227,6 +227,13 @@ def test_main_overrides_and_exit_codes(tmp_path):
         ("protocol = both\nn_nodes = 0\nduration = 100", ["protocol = both", "n_nodes"]),
         ("[sweep]\nn_nodes = 10, 20\nn_nodes = 30", ["lines 2, 3", "'n_nodes'", "repeated"]),
         ("t_sleep_max_scale = -1", ["t_sleep_max_scale"]),
+        ("n_nodes = 10\n[bogus]\nbeta = 2", ["line 2", "unknown section [bogus]"]),
+        ("n_nodes = 10\nbeta 2", ["line 2", "expected key = value"]),
+        ("[sweep]\nn_nodes = ,", ["line 2", "sweep key 'n_nodes' has no values"]),
+        ("replications = many", ["line 1", "bad replications 'many'"]),
+        ("n_nodes = 10\nprotocol = flood", ["line 2", "protocol must be one of"]),
+        ("n_nodes = 10\nfailure_injections = 1@soon", ["line 2", "bad failure injection"]),
+        ("collisions = maybe", ["line 1", "'collisions'", "expected a boolean"]),
     ],
     ids=[
         "invalid_base",
@@ -241,6 +248,13 @@ def test_main_overrides_and_exit_codes(tmp_path):
         "paired_no_nodes",
         "repeated_sweep_key",
         "negative_sleep_ceiling",
+        "unknown_section",
+        "line_without_equals",
+        "empty_sweep_line",
+        "bad_replications",
+        "bad_protocol",
+        "bad_failure_injection",
+        "bad_boolean",
     ],
 )
 def test_main_reports_config_errors(tmp_path, capsys, text, expected):
@@ -253,6 +267,15 @@ def test_main_reports_config_errors(tmp_path, capsys, text, expected):
     for fragment in expected:
         assert fragment in err
     assert not out.exists()  # nothing ran, nothing was written
+
+
+@pytest.mark.parametrize(
+    "word,value",
+    [("true", True), ("1", True), ("Yes", True), ("on", True)]
+    + [("false", False), ("0", False), ("no", False), ("OFF", False)],
+)
+def test_boolean_words(word, value):
+    assert parse_config(f"collisions = {word}").base.collisions is value
 
 
 def test_sweep_over_an_optional_value_names_the_none_point(tmp_path):
@@ -322,6 +345,20 @@ def test_spec_validation():
     spec = ExperimentSpec(sweep=[("n_nodes", [10, 20]), ("n_nodes", [30])])
     with pytest.raises(ValueError, match="'n_nodes' is repeated"):
         spec.validate()
+
+
+@pytest.mark.parametrize(
+    "kw,match",
+    [
+        (dict(protocol="flood"), "^protocol must be one of"),
+        (dict(sweep=[("beta", [])]), "^sweep parameter 'beta' has no values"),
+        (dict(base=SimConfig(k_probes=2.5)), "^k_probes must be int"),
+        (dict(sweep=[("n_nodes", [10.5])]), "n_nodes must be int, got 10.5"),
+    ],
+)
+def test_code_built_spec_rejected(kw, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentSpec(**kw).validate()
 
 
 def test_failed_sweep_point_outputs_are_removed(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 """Event kernel: deployment, radio semantics, energy ledger, failure injection."""
 
+import dataclasses
 import math
 import random
 import typing
 
+import numpy as np
 import pytest
 
 from sentinelsim.analysis import CoverageGrid, coverage_fraction
@@ -29,39 +31,63 @@ def small_config(**kw):
 # -- config validation ---------------------------------------------------------
 
 
+INVALID_CONFIGS = [
+    (dict(delta=25.0), "^delta must be <= 2"),
+    (dict(r_comm=5.0), "^r_comm "),
+    (dict(loss_probability=1.0), "^loss_probability"),
+    (dict(loss_probability=-0.1), "^loss_probability"),
+    (dict(n_nodes=-1), "^n_nodes must be >= 0"),
+    (dict(k_probes=0), "^k_probes must be >= 1"),
+    (dict(duration=-5.0), "^duration must be >= 0"),
+    (dict(protocol="flood"), "^protocol must be one of"),
+    (dict(failure_injections=[(99, 10.0)]), "unknown node id 99"),
+    (dict(failure_injections=[(0, 7000.0)]), "t=7000.0 lies outside the run"),
+    (dict(reply_jitter=2.0), "^reply_jitter"),
+    (dict(delta=math.nan), "^delta must be finite"),
+    (dict(duration=math.nan), "^duration must be finite"),
+    (dict(t_w=math.nan), "^t_w must be finite"),
+    (dict(beta=math.nan), "^beta must be finite"),
+    (dict(lambda_init=math.inf), "^lambda_init must be finite"),
+    (dict(lambda_peas=-1.0), "^lambda_peas must be positive"),
+    (dict(peas_probing_range=0.0), "^peas_probing_range must be positive"),
+    (dict(t_w=0.0), "^t_w must be positive"),
+    (dict(delta=30.0, r_sense=10.0), "^delta must be <= 2"),
+    (dict(coverage_resolution=0.0), "^coverage_resolution must be positive"),
+    (dict(age_tie_margin=-1.0), "^age_tie_margin must be >= 0"),
+    (dict(t_sleep_max_scale=0.0), "^t_sleep_max_scale must be positive"),
+    (dict(t_sleep_max_scale=-1.0), "^t_sleep_max_scale must be positive"),
+    (dict(field_width=0.0), "^field_width must be positive"),
+    (dict(field_height=-1.0), "^field_height must be positive"),
+    (dict(r_sense=0.0), "^r_sense must be positive"),
+    (dict(r_comm=0.0), "^r_comm must be positive"),
+    (dict(delta=0.0), "^delta must be positive"),
+    (dict(msg_size=0), "^msg_size must be positive"),
+    (dict(bitrate=0.0), "^bitrate must be positive"),
+    (dict(beta=0.0), "^beta must be positive"),
+    (dict(lambda_init=0.0), "^lambda_init must be positive"),
+    (dict(lambda_min=0.0), "^lambda_min must be positive"),
+    (dict(lambda_max=1e-4), "^lambda_max .* must be >= lambda_min"),
+    (dict(ts_initial=0.0), "^ts_initial must be positive"),
+    (dict(p_sleep=-1e-6), "^p_sleep must be >= 0"),
+    (dict(e_tx=-1e-6), "^e_tx must be >= 0"),
+    (dict(e_rx=-1e-6), "^e_rx must be >= 0"),
+    # wrong types: each would run silently wrong or fail deep in the engine
+    (dict(k_probes=2.5), "^k_probes must be int"),  # ran as k_probes = 3
+    (dict(collisions="no"), "^collisions must be bool"),  # ran with collisions on
+    (dict(n_nodes=10.5), "^n_nodes must be int"),  # TypeError in deploy
+    (dict(failure_injections=[(1.5, 10.0)]), "^failure_injections must be"),  # TypeError in run
+    (dict(failure_injections=[(1, 10.0, 2.0)]), "^failure_injections must be"),
+    (dict(failure_injections=[1]), "^failure_injections must be"),
+]
+
+
 @pytest.mark.parametrize(
-    "kw",
-    [
-        dict(delta=25.0),
-        dict(r_comm=5.0),
-        dict(loss_probability=1.0),
-        dict(loss_probability=-0.1),
-        dict(n_nodes=-1),
-        dict(k_probes=0),
-        dict(duration=-5.0),
-        dict(protocol="flood"),
-        dict(failure_injections=[(99, 10.0)]),
-        dict(failure_injections=[(0, 7000.0)]),
-        dict(reply_jitter=2.0),
-        dict(delta=math.nan),
-        dict(duration=math.nan),
-        dict(t_w=math.nan),
-        dict(beta=math.nan),
-        dict(lambda_init=math.inf),
-        dict(lambda_peas=-1.0),
-        dict(peas_probing_range=0.0),
-        dict(t_w=0.0),
-        dict(delta=30.0, r_sense=10.0),
-        dict(coverage_resolution=0.0),
-        dict(age_tie_margin=-1.0),
-        dict(t_sleep_max_scale=0.0),
-        dict(t_sleep_max_scale=-1.0),
-    ],
+    "kw,match", INVALID_CONFIGS, ids=[f"kw{i}" for i in range(len(INVALID_CONFIGS))]
 )
-def test_invalid_configs_rejected(kw):
+def test_invalid_configs_rejected(kw, match):
     base = dict(n_nodes=10)
     base.update(kw)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         SimConfig(**base).validate()
 
 
@@ -90,6 +116,41 @@ def test_every_non_finite_float_field_rejected(bad):
             SimConfig(n_nodes=10, **{name: bad}).validate()
 
 
+# A value of the wrong type for each declared field type; a bool is no number.
+WRONG_TYPE = {
+    int: 2.5,
+    float: True,
+    float | None: "0.5",
+    bool: "no",
+    str: 1,
+    list[tuple[int, float]]: [(1.5, 10.0)],
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimConfig)])
+def test_every_field_rejects_a_value_of_the_wrong_type(name):
+    value = WRONG_TYPE[typing.get_type_hints(SimConfig)[name]]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        SimConfig(**{"n_nodes": 10, name: value}).validate()
+
+
+def test_ints_and_numpy_numbers_pass_as_their_field_types():
+    floats = [k for k, t in typing.get_type_hints(SimConfig).items() if t is float]
+    assert "duration" in floats and "initial_energy" in floats
+    defaults = SimConfig()
+    as_ints = {k: int(getattr(defaults, k)) for k in floats if getattr(defaults, k) >= 1}
+    assert len(as_ints) > 10
+    SimConfig(**as_ints).validate()
+    SimConfig(lambda_peas=1, peas_probing_range=np.int64(5)).validate()
+    SimConfig(
+        n_nodes=np.int64(10), duration=np.float32(20.0), failure_injections=[(np.int64(1), 5)]
+    ).validate()
+    # an int where a float is declared runs exactly like the float
+    assert simulate(SimConfig(n_nodes=10, duration=20)).rows == simulate(
+        SimConfig(n_nodes=10, duration=20.0)
+    ).rows
+
+
 # -- deployment ----------------------------------------------------------------
 
 
@@ -101,6 +162,18 @@ def test_empty_world_yields_all_zero_metrics():
     assert row.active_count == row.dead_count == row.probes_sent == 0
     assert row.total_energy_consumed == 0.0
     assert row.coverage_fraction == 0.0
+
+
+@pytest.mark.parametrize(
+    "kw,match",
+    [
+        (dict(positions=[(1.0, 1.0)] * 3), "expected 4 positions, got 3"),
+        (dict(initial_sleeps=[1.0] * 5), "expected 4 initial sleeps, got 5"),
+    ],
+)
+def test_deploy_rejects_overrides_of_the_wrong_length(kw, match):
+    with pytest.raises(ValueError, match=match):
+        deploy(small_config(), **kw)
 
 
 def test_deployments_are_seed_deterministic():
@@ -182,7 +255,7 @@ def test_configured_message_size_drives_airtime(force_state):
     force_state(world, sender, NodeState.ACTIVE)
     sender.activity_start = 0.0
     force_state(world, receiver, NodeState.PROBING)
-    world.broadcast(sender, ProbeRequest(0, sender.position), 1.0)
+    world.broadcast(sender, ProbeRequest(0), 1.0)
     # heap entries are (time, seq, kind, payload)
     delivery = min(ev for ev in world._heap if ev[2] is EventKind.MESSAGE_DELIVERY)
     assert delivery[0] == pytest.approx(1.0016, rel=1e-12)
@@ -211,8 +284,8 @@ def test_overlapping_frames_collide_destructively_at_common_receiver(force_state
     force_state(world, b, NodeState.ACTIVE)
     b.activity_start = 0.0
     force_state(world, c, NodeState.PROBING)
-    world.broadcast(a, ProbeRequest(a.id, a.position), 5.0)
-    world.broadcast(b, ProbeRequest(b.id, b.position), 5.0004)
+    world.broadcast(a, ProbeRequest(a.id), 5.0)
+    world.broadcast(b, ProbeRequest(b.id), 5.0004)
     run(world, duration=6.0)
     assert world.collisions == 1
     assert c.spent_rx == 0.0  # both frames died at the shared receiver
@@ -237,8 +310,8 @@ def _three_guards_around_a_prober(force_state, **kw):
 def test_abutting_frames_both_arrive(force_state):
     cfg, world = _three_guards_around_a_prober(force_state)
     a, b, c, _ = world.nodes
-    world.broadcast(a, ProbeRequest(a.id, a.position), 5.0)
-    world.broadcast(b, ProbeRequest(b.id, b.position), 5.0 + cfg.airtime)  # a's end
+    world.broadcast(a, ProbeRequest(a.id), 5.0)
+    world.broadcast(b, ProbeRequest(b.id), 5.0 + cfg.airtime)  # a's end
     run(world, duration=6.0)
     assert world.collisions == 0
     assert c.spent_rx == pytest.approx(2 * cfg.e_rx, rel=1e-12)
@@ -249,10 +322,10 @@ def test_frame_overlapping_two_inflight_frames_collides_once(force_state):
     a, b, c, d = world.nodes
     # airtime 0.8 ms: a's [5.0, 5.0008] and b's [5.001, 5.0018] are apart at c,
     # and d's [5.0006, 5.0014] overlaps both
-    world.broadcast(b, ProbeRequest(b.id, b.position), 5.001)
-    world.broadcast(a, ProbeRequest(a.id, a.position), 5.0)
+    world.broadcast(b, ProbeRequest(b.id), 5.001)
+    world.broadcast(a, ProbeRequest(a.id), 5.0)
     assert world.collisions == 0
-    world.broadcast(d, ProbeRequest(d.id, d.position), 5.0006)
+    world.broadcast(d, ProbeRequest(d.id), 5.0006)
     run(world, duration=6.0)
     assert world.collisions == 1
     assert c.spent_rx == 0.0  # all three frames died at c
@@ -261,9 +334,9 @@ def test_frame_overlapping_two_inflight_frames_collides_once(force_state):
 def test_overlapping_frames_all_arrive_without_the_collision_model(force_state):
     cfg, world = _three_guards_around_a_prober(force_state, collisions=False)
     a, b, c, d = world.nodes
-    world.broadcast(a, ProbeRequest(a.id, a.position), 5.0)
-    world.broadcast(b, ProbeRequest(b.id, b.position), 5.0002)
-    world.broadcast(d, ProbeRequest(d.id, d.position), 5.0004)
+    world.broadcast(a, ProbeRequest(a.id), 5.0)
+    world.broadcast(b, ProbeRequest(b.id), 5.0002)
+    world.broadcast(d, ProbeRequest(d.id), 5.0004)
     run(world, duration=6.0)
     assert world.collisions == 0
     assert c.spent_rx == pytest.approx(3 * cfg.e_rx, rel=1e-12)
@@ -275,7 +348,7 @@ def test_sleeping_receiver_hears_nothing_and_never_collides(force_state):
     a, b = world.nodes
     force_state(world, a, NodeState.ACTIVE)
     a.activity_start = 0.0
-    world.broadcast(a, ProbeRequest(a.id, a.position), 1.0)
+    world.broadcast(a, ProbeRequest(a.id), 1.0)
     run(world, duration=2.0)
     assert world.probes_received == 0
     assert world.collisions == 0
@@ -300,7 +373,7 @@ def test_dead_sender_cannot_broadcast():
     node = world.nodes[0]
     node.state = NodeState.DEAD
     with pytest.raises(SimError):
-        world.broadcast(node, ProbeRequest(0, node.position), 0.5)
+        world.broadcast(node, ProbeRequest(0), 0.5)
 
 
 def test_first_valid_reply_wins_and_later_ones_find_radio_off(force_state):
@@ -377,9 +450,9 @@ def test_set_state_keeps_the_books():
         world.set_state(node, NodeState.ACTIVE, 0.0)
     assert node.state is NodeState.SLEEPING
     with pytest.raises(SimError):
-        world.broadcast(node, ProbeRequest(node.id, node.position), 0.0)
+        world.broadcast(node, ProbeRequest(node.id), 0.0)
     world.set_state(node, NodeState.PROBING, 0.0)
-    world.broadcast(node, ProbeRequest(node.id, node.position), 0.0)
+    world.broadcast(node, ProbeRequest(node.id), 0.0)
     assert world.probes_sent == 1
     world.set_state(node, NodeState.ACTIVE, 1.0)
     assert world.active_ids == {node.id}

@@ -22,6 +22,12 @@ def test_sample_sleep_rejects_bad_r(r):
         peas_sample_sleep(0.01, r)
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.01])
+def test_sample_sleep_rejects_a_non_positive_rate(rate):
+    with pytest.raises(ValueError, match="^lambda_peas must be positive"):
+        peas_sample_sleep(rate, 0.5)
+
+
 def test_matched_rate_equates_mean_initial_sleeps():
     # exponential mean 1/rate must equal the Weibull mean Gamma(1+1/beta)/lambda
     lam = matched_rate(0.01, 2.0)

@@ -14,7 +14,6 @@ from sentinelsim.protocol import (
     ProtocolError,
     SensorNode,
     _adapt_and_sleep,
-    _weibull,
     change_state,
     on_probe_reply,
     on_probe_request,
@@ -23,7 +22,12 @@ from sentinelsim.protocol import (
     on_withdrawal_check,
     scan_check,
 )
-from sentinelsim.scheduling import WeibullParams, sample_sleep_time, update_probe_rate
+from sentinelsim.scheduling import (
+    WeibullParams,
+    sample_sleep_time,
+    update_probe_rate,
+    weibull_params,
+)
 
 PARAMS = SimConfig()
 
@@ -62,7 +66,7 @@ def test_wake_opens_probing_round():
     req = on_wake(node, PARAMS, 120.0)
     assert node.state is NodeState.PROBING
     assert node.probes_sent_this_round == 1
-    assert req == ProbeRequest(sender_id=3, sender_position=(1.0, 2.0))
+    assert req == ProbeRequest(sender_id=3)
 
 
 def test_wake_with_no_energy_dies_silently():
@@ -85,14 +89,14 @@ def test_wake_on_active_node_is_an_invariant_violation():
 
 def test_active_node_replies_with_its_age():
     node = make_node(nid=9, x=4.0, y=5.0, state=NodeState.ACTIVE, activity_start=100.0)
-    reply = on_probe_request(node, ProbeRequest(1, (0.0, 0.0)), now=150.0)
+    reply = on_probe_request(node, ProbeRequest(1), now=150.0)
     assert reply == ProbeReply(sender_id=9, sender_position=(4.0, 5.0), activity_age=50.0)
 
 
 @pytest.mark.parametrize("state", [NodeState.SLEEPING, NodeState.PROBING])
 def test_only_active_nodes_reply(state):
     node = make_node(state=state)
-    assert on_probe_request(node, ProbeRequest(1, (0.0, 0.0)), now=5.0) is None
+    assert on_probe_request(node, ProbeRequest(1), now=5.0) is None
 
 
 # -- scan_check ----------------------------------------------------------------
@@ -276,7 +280,7 @@ def test_bad_shape_fails_with_the_weibull_message_every_time(beta):
     message = str(fresh.value)
     for _ in range(2):  # a failed construction is not cached
         with pytest.raises(ValueError) as shared:
-            _weibull(1.0, beta)
+            weibull_params(1.0, beta)
         assert str(shared.value) == message
         with pytest.raises(ValueError) as sleep:
             _adapt_and_sleep(_probing_node(), replace(PARAMS, beta=beta), 100.0, 0.5)

@@ -107,6 +107,21 @@ def test_hazard_edge_cases():
         hazard_rate(-1.0, WeibullParams(10.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: weibull_survival(-1.0, WeibullParams(10.0, 2.0)),
+        lambda: weibull_cdf(-1e-9, WeibullParams(10.0, 2.0)),
+        lambda: hazard_rate(-1.0, WeibullParams(10.0, 0.5)),
+        lambda: update_probe_rate(0.01, -1.0, 2.0),  # the hazard's own check
+    ],
+    ids=["survival", "cdf", "hazard", "update_probe_rate"],
+)
+def test_negative_time_rejected(call):
+    with pytest.raises(ValueError, match="^t must be >= 0"):
+        call()
+
+
 def test_hazard_strictly_increasing_for_beta_above_one():
     params = WeibullParams(alpha=50.0, beta=2.0)
     hs = [hazard_rate(t, params) for t in (1.0, 5.0, 20.0, 100.0, 500.0)]
