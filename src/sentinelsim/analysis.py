@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
-
-import numpy as np
 
 #: Marker for a coverage hole never refilled within the run.
 UNRECOVERED = math.inf
@@ -94,22 +93,93 @@ class SummaryReport:
     recovery_latencies: list[float]
 
 
+class _AxisCentres(tuple):
+    """Cell centres along one axis of a `CoverageGrid`.
+
+    `size` is the cell count of the whole grid, the length the raveled
+    per-cell centre arrays had: `benchmark/tracer.py` counts cell tests as
+    `grid.centers_x.size` per guard.
+    """
+
+    size: int
+
+
+def _index_near(t: float, lo: int, hi: int) -> int:
+    """An index in [lo, hi] near the real index t (lo when t is nan)."""
+    if t >= hi:
+        return hi
+    return int(t) if t > lo else lo
+
+
 class CoverageGrid:
     """Regular grid of cell centers spanning the field, used to approximate
-    the area covered by the active set's sensing disks."""
+    the area covered by the active set's sensing disks.
+
+    Each sensing disk becomes a Python-int mask over the cells, built the
+    first time its (x, y, r) is seen and cached on the grid: bit i * ny + j
+    stands for the cell centred at (centers_x[i], centers_y[j]).
+    """
 
     def __init__(self, width: float, height: float, resolution: float = 1.0):
         if resolution <= 0:
             raise ValueError(f"resolution must be positive, got {resolution}")
         if width <= 0 or height <= 0:
             raise ValueError(f"field dimensions must be positive, got {width}x{height}")
-        nx = max(1, int(round(width / resolution)))
-        ny = max(1, int(round(height / resolution)))
-        xs = (np.arange(nx) + 0.5) * resolution
-        ys = (np.arange(ny) + 0.5) * resolution
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        self.centers_x = gx.ravel()
-        self.centers_y = gy.ravel()
+        self.resolution = resolution
+        self.nx = nx = max(1, int(round(width / resolution)))
+        self.ny = ny = max(1, int(round(height / resolution)))
+        self.centers_x = _AxisCentres((i + 0.5) * resolution for i in range(nx))
+        self.centers_y = _AxisCentres((j + 0.5) * resolution for j in range(ny))
+        self.centers_x.size = self.centers_y.size = nx * ny
+        self._masks: dict[tuple[float, float, float], int] = {}
+
+    def disk_mask(self, x: float, y: float, r: float) -> int:
+        """Cells whose centre lies within r of (x, y), as a bitmask."""
+        key = (x, y, r)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = self._build_mask(x, y, r)
+        return mask
+
+    def _build_mask(self, x: float, y: float, r: float) -> int:
+        # A cell is covered when (cx - x)**2 + (cy - y)**2 <= r * r in float64.
+        # Within a column, the centres at or below y (j < m) get no farther from
+        # (x, y) as j grows, and those above get no nearer, also after
+        # rounding; so the covered cells form one run. Each end of the run is
+        # estimated by a square root, then settled by exact cell tests, which
+        # move it out while the next cell is inside and in while it is not.
+        ys, ny, res = self.centers_y, self.ny, self.resolution
+        r2 = r * r
+        m = bisect_right(ys, y)
+        dx2 = 0.0
+
+        def inside(j):  # the cell test, in the current column
+            dy = ys[j] - y
+            return dx2 + dy * dy <= r2
+
+        mask = 0
+        for i, cx in enumerate(self.centers_x):
+            dx = cx - x
+            dx2 = dx * dx
+            if not dx2 <= r2:
+                continue
+            h = math.sqrt(r2 - dx2)  # about the half-length of the run
+            lo, hi = m, m - 1
+            if m > 0 and inside(m - 1):
+                lo = _index_near((y - h) / res + 0.5, 0, m - 1)
+                while lo > 0 and inside(lo - 1):
+                    lo -= 1
+                while not inside(lo):
+                    lo += 1
+            if m < ny and inside(m):
+                hi = _index_near((y + h) / res - 0.5, m, ny - 1)
+                while hi < ny - 1 and inside(hi + 1):
+                    hi += 1
+                while not inside(hi):
+                    hi -= 1
+            if lo <= hi:
+                mask |= ((1 << (hi - lo + 1)) - 1) << (i * ny + lo)
+        return mask
 
 
 def coverage_fraction(
@@ -118,15 +188,10 @@ def coverage_fraction(
     grid: CoverageGrid,
 ) -> float:
     """Fraction of grid cell centers within r_sense of at least one active node."""
-    if not len(active_positions):
-        return 0.0
-    ax = np.array([p[0] for p in active_positions])
-    ay = np.array([p[1] for p in active_positions])
-    d2 = (grid.centers_x[:, None] - ax[None, :]) ** 2 + (
-        grid.centers_y[:, None] - ay[None, :]
-    ) ** 2
-    covered = (d2 <= r_sense * r_sense).any(axis=1)
-    return int(np.count_nonzero(covered)) / covered.size
+    covered = 0
+    for x, y in active_positions:
+        covered |= grid.disk_mask(x, y, r_sense)
+    return covered.bit_count() / (grid.nx * grid.ny)
 
 
 def recovery_latency(

@@ -325,10 +325,13 @@ def main(argv: list[str] | None = None) -> int:
             spec.protocol = args.protocol
         if args.seed is not None:
             spec.base.seed = args.seed
-        if args.duration is not None:
-            spec.base.duration = args.duration
-        if args.nodes is not None:
-            spec.base.n_nodes = args.nodes
+        swept = {name for name, _ in spec.sweep}
+        for name, value in (("duration", args.duration), ("n_nodes", args.nodes)):
+            if value is None:
+                continue
+            if name in swept:  # the sweep would silently replace the override
+                raise ConfigError(f"cannot override {name!r}: the [sweep] varies it")
+            setattr(spec.base, name, value)
         if args.output is not None:
             spec.output_dir = args.output
         spec.validate()

@@ -86,15 +86,53 @@ def test_single_central_guard_covers_a_disk():
 
 
 def test_matches_brute_force_scan_on_randomized_layouts():
+    # square and non-square fields at several resolutions; guards inside the
+    # field, guards up to 10 m outside it, and guards on cell centres with
+    # radii of 1, 2, 5, 10 or 13 cells, which put whole-cell offsets such as
+    # (3, 4) or (0, 5) cells exactly on the circle
     rng = random.Random(77)
-    for _ in range(10):
-        k = rng.randint(0, 15)
-        pts = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(k)]
-        r = rng.uniform(5.0, 15.0)
-        grid = CoverageGrid(50.0, 50.0)
-        assert coverage_fraction(pts, r, grid) == brute_force_fraction(
-            pts, r, 50.0, 50.0, 1.0
-        )
+    for width, height, resolution in (
+        (50.0, 50.0, 1.0), (50.0, 50.0, 0.5), (37.3, 61.9, 0.7), (80.0, 30.0, 1.0)
+    ):
+        nx = max(1, int(round(width / resolution)))
+        ny = max(1, int(round(height / resolution)))
+        for case in range(12):
+            k = rng.randint(0, 15)
+            if case % 3 == 0:
+                pts = [(rng.uniform(0, width), rng.uniform(0, height)) for _ in range(k)]
+                r = rng.uniform(5.0, 15.0)
+            elif case % 3 == 1:
+                pts = [
+                    (rng.uniform(-10, width + 10), rng.uniform(-10, height + 10))
+                    for _ in range(k)
+                ]
+                r = rng.uniform(5.0, 15.0)
+            else:
+                pts = [
+                    ((rng.randint(-3, nx + 2) + 0.5) * resolution,
+                     (rng.randint(-3, ny + 2) + 0.5) * resolution)
+                    for _ in range(k)
+                ]
+                r = rng.choice([1, 2, 5, 10, 13]) * resolution
+            grid = CoverageGrid(width, height, resolution)
+            assert coverage_fraction(pts, r, grid) == brute_force_fraction(
+                pts, r, width, height, resolution
+            ), (width, height, resolution, r, pts)
+
+
+def test_masks_cached_by_one_grid_match_a_fresh_grid():
+    # one grid answers a run of overlapping guard sets, each with a guard
+    # added, dropped or moved and the radius sometimes changed; no answer may
+    # depend on what the grid computed before
+    rng = random.Random(78)
+    pool = [(rng.uniform(-5, 55), rng.uniform(-5, 55)) for _ in range(12)]
+    grid = CoverageGrid(50.0, 50.0, 0.5)
+    guards = pool[:4]
+    for step in range(40):
+        guards = [p for p in guards if rng.random() < 0.8] + rng.sample(pool, 2)
+        r = rng.choice([7.5, 10.0])
+        expected = coverage_fraction(guards, r, CoverageGrid(50.0, 50.0, 0.5))
+        assert coverage_fraction(guards, r, grid) == expected, step
 
 
 def test_grid_validation():

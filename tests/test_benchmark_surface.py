@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from sentinelsim import engine
-from sentinelsim.analysis import RunResult
+from sentinelsim import analysis, engine
+from sentinelsim.analysis import CoverageGrid, RunResult
 from sentinelsim.engine import SimConfig
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmark"
@@ -61,3 +61,18 @@ def test_captured_run_passes_the_benchmark_checks(workloads):
     assert len(pairs) == 1
     world, result = pairs[0]
     assert workloads.run_problems(world, result) == []
+
+
+@pytest.mark.parametrize(
+    "width,height,resolution,cells",
+    [(50.0, 50.0, 1.0, 2500), (50.0, 50.0, 0.5, 10000), (37.3, 61.9, 0.7, 53 * 88),
+     (80.0, 30.0, 1.0, 2400)],
+)
+def test_cell_tests_count_every_cell_per_guard(tracer, width, height, resolution, cells):
+    # the tracer reads `grid.centers_x.size` as the grid's cell count
+    grid = CoverageGrid(width, height, resolution)
+    assert grid.centers_x.size == grid.centers_y.size == cells
+    t = tracer.Tracer()
+    with t.installed():
+        analysis.coverage_fraction([(1.0, 2.0), (30.0, 20.0), (1.0, 2.0)], 8.0, grid)
+    assert t.layer_metrics()["analysis.coverage.cell_tests"] == 3 * cells

@@ -212,6 +212,19 @@ def test_main_overrides_and_exit_codes(tmp_path):
     assert summary["config"]["protocol"] == "peas"
 
 
+@pytest.mark.parametrize("flag,name", [("--nodes", "n_nodes"), ("--duration", "duration")])
+def test_main_rejects_an_override_of_a_swept_field(tmp_path, capsys, flag, name):
+    # the sweep sets the field of every run, so the override would be lost
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"duration = 20\n[sweep]\n{name} = 10, 20\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), flag, "5", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"cannot override {name!r}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [

@@ -1,8 +1,11 @@
-"""The `test` extra of pyproject.toml declares every third-party module the
-tests import, so `pip install -e .[test]` gives a suite that collects."""
+"""The package needs nothing beyond the standard library, and the `test`
+extra of pyproject.toml declares every third-party module the tests import,
+so `pip install -e .[test]` gives a suite that collects."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +47,20 @@ def test_test_extra_declares_every_third_party_import():
     assert {"pytest", "hypothesis", "sentinelsim"} <= imported  # the walk sees the suite
     third_party = {_normalized(name) for name in imported - own}
     assert sorted(third_party - declared) == []
+
+
+def test_package_has_no_runtime_dependencies():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+
+
+def test_import_loads_no_numpy():
+    # numpy's import was most of the package's start-up time
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    code = "import sys, sentinelsim; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "False"
