@@ -198,6 +198,15 @@ class Frame:
 class World:
     """A deployed population plus the event queue and all run bookkeeping."""
 
+    # Every event reads these; a slot is cheaper to reach than a dict entry.
+    __slots__ = (
+        "config", "policy", "clock", "rng", "nodes", "neighbor_sets", "result",
+        "probes_sent", "probes_received", "replies_sent", "replies_received",
+        "collisions", "withdrawals", "_heap", "_seq", "_inflight", "_radio_on",
+        "_conflicts", "_grid", "_sampled_ids", "_sampled_coverage", "_power",
+        "_finished",
+    )
+
     def __init__(self, config: SimConfig):
         self.config = config
         # Its handlers are looked up at call time, so patching the module's
@@ -392,7 +401,8 @@ def deploy(
     event drawn from (0, ts_initial].
 
     positions and initial_sleeps override the random draws for engineered
-    scenarios; lengths must equal n_nodes.
+    scenarios; lengths must equal n_nodes, positions must lie in the field and
+    sleeps must be finite and >= 0.
     """
     config.validate()
     world = World(config)
@@ -411,28 +421,45 @@ def deploy(
         raise ValueError(f"expected {n} initial sleeps, got {len(initial_sleeps)}")
 
     rate = world.policy.wake_rate(config)
+    w, h = config.field_width, config.field_height
     for i in range(n):
         x, y = positions[i]
+        sleep = initial_sleeps[i]
+        # NaN fails every comparison, and the field is finite
+        if not (0.0 <= x <= w and 0.0 <= y <= h):
+            raise ValueError(
+                f"position {i} must be finite and lie in [0, {w}] x [0, {h}], got ({x}, {y})"
+            )
+        if not 0.0 <= sleep < math.inf:
+            raise ValueError(f"initial sleep {i} must be finite and >= 0, got {sleep}")
         node = SensorNode(
             id=i,
             x=x,
             y=y,
             state=NodeState.SLEEPING,
             probe_rate=rate,
-            wake_deadline=initial_sleeps[i],
+            wake_deadline=sleep,
             initial_energy=config.initial_energy,
         )
         world.nodes.append(node)
 
+    # Sweep line: walk each node's successors in x order and stop at the first
+    # whose x gap alone exceeds r_comm. Along that order dx * dx only grows, so
+    # no later node can pass the distance test, which is the same float test
+    # for every pair that reaches it.
     r2 = config.r_comm * config.r_comm
+    swept = sorted((node.x, node.y, node.id) for node in world.nodes)
     adjacency: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        xi, yi = world.nodes[i].x, world.nodes[i].y
-        for j in range(i + 1, n):
-            dx = xi - world.nodes[j].x
-            dy = yi - world.nodes[j].y
-            if dx * dx + dy * dy <= r2:
-                adjacency[i].add(j)
+    for a, (xi, yi, i) in enumerate(swept):
+        near = adjacency[i]
+        for x, y, j in swept[a + 1:]:
+            dx = x - xi
+            dx2 = dx * dx
+            if dx2 > r2:
+                break
+            dy = y - yi
+            if dx2 + dy * dy <= r2:
+                near.add(j)
                 adjacency[j].add(i)
     world.neighbor_sets = [frozenset(s) for s in adjacency]
 

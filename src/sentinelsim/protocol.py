@@ -77,7 +77,7 @@ class ProbeReply:
             raise ValueError(f"activity_age must be >= 0, got {self.activity_age}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorNode:
     """Protocol actor: position, lifecycle state, energy ledger, probe rate.
 

@@ -2,13 +2,16 @@
 stated tolerance. Each criterion prints one PASS/FAIL line (run with -s).
 
 The behavioral criteria run pinned seeds; the engine is deterministic, so the
-numbers printed here reproduce bit for bit."""
+numbers printed here reproduce bit for bit. The slowest criteria carry the
+`slow` marker, so `pytest -m "not slow"` gives a quick check while iterating."""
 
 import math
 import random
 import statistics
 import time
 from dataclasses import replace
+
+import pytest
 
 from sentinelsim.analysis import CoverageGrid, coverage_fraction, metrics_to_csv
 from sentinelsim.engine import SimConfig, deploy, run, simulate
@@ -83,6 +86,7 @@ def test_criterion_2_energy_advantage_over_baseline():
     assert elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_3_shape_parameter_insensitivity():
     means = {}
     for beta in (1.5, 2.0, 3.0):
@@ -133,6 +137,7 @@ def test_criterion_4_rate_and_sleep_evolution():
     assert capped_at < len(rates)
 
 
+@pytest.mark.slow
 def test_criterion_5_collision_driven_false_activation_and_conflict_clearing():
     # harsh channel so the single-probe fragility the withdrawal procedure
     # exists to repair actually manifests
@@ -173,6 +178,7 @@ def _central_victim(world) -> int:
     return victim.id
 
 
+@pytest.mark.slow
 def test_criterion_6_hole_recovery():
     lat_early, lat_late = [], []
     recovered = 0

@@ -7,6 +7,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentinelsim.analysis import CoverageGrid, coverage_fraction
 from sentinelsim.engine import (
@@ -169,11 +171,112 @@ def test_empty_world_yields_all_zero_metrics():
     [
         (dict(positions=[(1.0, 1.0)] * 3), "expected 4 positions, got 3"),
         (dict(initial_sleeps=[1.0] * 5), "expected 4 initial sleeps, got 5"),
+        (dict(positions=[(1.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (1.0, 1.0)]),
+         r"^position 2 must be finite and lie in \[0, 50.0\] x \[0, 50.0\], got \(nan, 1.0\)"),
+        (dict(positions=[(1.0, 1.0), (500.0, -30.0), (1.0, 1.0), (1.0, 1.0)]),
+         r"^position 1 must be finite .* got \(500.0, -30.0\)"),
+        (dict(positions=[(1.0, math.inf)] * 4), r"^position 0 must be finite"),
+        (dict(positions=[(1.0, 1.0)] * 3 + [(-0.1, 1.0)]), r"^position 3 must be finite"),
+        (dict(positions=[(1.0, 1.0)] * 3 + [(1.0, 50.1)]), r"^position 3 must be finite"),
+        (dict(initial_sleeps=[1.0, 1.0, 1.0, math.nan]),
+         r"^initial sleep 3 must be finite and >= 0, got nan"),
+        (dict(initial_sleeps=[1.0, -1.0, 1.0, 1.0]), r"^initial sleep 1 must be finite"),
+        (dict(initial_sleeps=[math.inf] * 4), r"^initial sleep 0 must be finite"),
     ],
 )
 def test_deploy_rejects_overrides_of_the_wrong_length(kw, match):
+    """Overrides are checked for count and value: a NaN or out-of-field
+    position, or a NaN, infinite or negative sleep, names its index."""
     with pytest.raises(ValueError, match=match):
         deploy(small_config(), **kw)
+
+
+def test_deploy_accepts_overrides_on_the_bounds():
+    corners = [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0)]
+    world = deploy(small_config(), positions=corners, initial_sleeps=[0.0, 1.0, 2.0, 3.0])
+    assert [n.position for n in world.nodes] == corners
+    assert world.nodes[0].wake_deadline == 0.0
+
+
+# -- neighbour sets --------------------------------------------------------------
+
+
+def brute_force_neighbors(world) -> list[frozenset[int]]:
+    """The oracle: every pair of nodes, with deploy's float distance test."""
+    nodes = world.nodes
+    r2 = world.config.r_comm * world.config.r_comm
+    adjacency = [set() for _ in nodes]
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            dx = a.x - nodes[j].x
+            dy = a.y - nodes[j].y
+            if dx * dx + dy * dy <= r2:
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    return [frozenset(s) for s in adjacency]
+
+
+def placed(positions, **kw) -> World:
+    kw.setdefault("r_sense", min(10.0, kw.get("r_comm", 20.0)))
+    kw.setdefault("delta", kw["r_sense"])
+    cfg = SimConfig(n_nodes=len(positions), **kw)
+    return deploy(cfg, positions=positions)
+
+
+@pytest.mark.parametrize("n,seed", [(100, 11), (200, 12), (400, 13)])
+def test_neighbor_sets_match_the_brute_force_oracle(n, seed):
+    world = deploy(SimConfig(n_nodes=n, seed=seed))
+    assert world.neighbor_sets == brute_force_neighbors(world)
+
+
+# coarse coordinates make equal x, coincident nodes and exact-range pairs common
+coordinates = st.one_of(st.floats(0.0, 60.0), st.integers(0, 12).map(lambda k: k * 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    positions=st.lists(st.tuples(coordinates, coordinates), max_size=40),
+    r_comm=st.one_of(st.floats(0.01, 100.0), st.sampled_from([5.0, 10.0, 20.0])),
+)
+def test_neighbor_sets_match_the_oracle_on_any_field(positions, r_comm):
+    world = placed(positions, r_comm=r_comm, field_width=60.0, field_height=60.0)
+    assert world.neighbor_sets == brute_force_neighbors(world)
+
+
+@pytest.mark.parametrize(
+    "far,linked",
+    [
+        ((20.0, 0.0), True),
+        ((0.0, 20.0), True),
+        ((12.0, 16.0), True),  # 3-4-5 diagonal: 144 + 256 = 400
+        ((math.nextafter(20.0, 21.0), 0.0), False),
+        ((0.0, math.nextafter(20.0, 21.0)), False),
+    ],
+    ids=["x", "y", "diagonal", "x-beyond", "y-beyond"],
+)
+def test_nodes_exactly_r_comm_apart_are_neighbors(far, linked):
+    world = placed([(5.0, 5.0), (5.0 + far[0], 5.0 + far[1]), (45.0, 45.0)])
+    pair = [frozenset({1}), frozenset({0})] if linked else [frozenset(), frozenset()]
+    assert world.neighbor_sets == [*pair, frozenset()]
+    assert world.neighbor_sets == brute_force_neighbors(world)
+
+
+@pytest.mark.parametrize(
+    "positions,r_comm,expected",
+    [
+        ([(10.0, 10.0), (10.0, 10.0), (10.0, 30.0), (10.0, 30.5), (30.0, 10.0)], 20.0,
+         [{1, 2, 4}, {0, 2, 4}, {0, 1, 3}, {2}, {0, 1}]),
+        ([(0.0, 0.0), (50.0, 50.0), (0.0, 50.0), (50.0, 0.0), (25.0, 25.0)], 71.0,
+         [{1, 2, 3, 4}, {0, 2, 3, 4}, {0, 1, 3, 4}, {0, 1, 2, 4}, {0, 1, 2, 3}]),
+        ([], 20.0, []),
+        ([(25.0, 25.0)], 20.0, [set()]),
+    ],
+    ids=["equal-x-and-coincident", "r_comm-past-the-diagonal", "no-nodes", "one-node"],
+)
+def test_neighbor_sets_of_degenerate_fields(positions, r_comm, expected):
+    world = placed(positions, r_comm=r_comm)
+    assert world.neighbor_sets == [frozenset(s) for s in expected]
+    assert world.neighbor_sets == brute_force_neighbors(world)
 
 
 def test_deployments_are_seed_deterministic():

@@ -1,9 +1,14 @@
-"""The per-event code reads no enum member through its enum class.
+"""The per-event code reads no enum member through its enum class, and the
+objects it reads most are slotted.
 
 Reading `NodeState.ACTIVE` costs a global lookup plus an enum attribute
 lookup, several times the cost of reading a module global. The functions
 below run once per event, per receiver or per probe cycle, so they use the
 members their modules bind once (`_ACTIVE`, `_WAKE`, ...).
+
+Every event and every metrics sample reads `World` and `SensorNode`
+attributes, and every delivery a `Frame`'s; a slot is cheaper to reach than
+an instance dict entry, so none of the three has a `__dict__`.
 """
 
 import ast
@@ -12,6 +17,8 @@ import inspect
 import pytest
 
 from sentinelsim import engine, peas, protocol
+from sentinelsim.engine import Frame, SimConfig, deploy
+from sentinelsim.protocol import ProbeRequest
 
 ENUMS = {"NodeState", "EventKind"}
 
@@ -75,3 +82,20 @@ def test_the_check_sees_enum_reads():
         "line 2: EventKind.WAKE",
     ]
     assert _enum_reads(ast.parse("x = _ACTIVE\ny = node.state.name\n")) == []
+
+
+def _slotted_objects():
+    world = deploy(SimConfig(n_nodes=2, duration=10.0))
+    return {
+        "World": world,
+        "SensorNode": world.nodes[0],
+        "Frame": Frame(ProbeRequest(0), 0.0, 0.001, [1]),
+    }
+
+
+@pytest.mark.parametrize("name", ["World", "SensorNode", "Frame"])
+def test_per_event_objects_are_slotted(name):
+    obj = _slotted_objects()[name]
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        obj.ad_hoc = 1
