@@ -5,7 +5,7 @@ plus JSON summaries under an output directory.
 Config format (all keys optional; defaults are the standard 50 m x 50 m,
 200-node, 6000 s scenario):
 
-    # top level: SimConfig fields
+    # top level: SimConfig fields, each key on one line only
     n_nodes = 300
     beta = 1.5
     protocol = both            # sentinel | peas | both (paired, same seed)
@@ -22,9 +22,12 @@ Config format (all keys optional; defaults are the standard 50 m x 50 m,
 
 Every sweep point is validated before the first run. Any scalar SimConfig
 field can be swept, the energy fields included; seed and protocol cannot:
-use replications and protocol = both.
+use replications and protocol = both, which sets ExperimentSpec.paired;
+protocol = sentinel | peas sets base.protocol. Each command-line flag in
+FLAGS is parsed like its top-level line and overrides the file's value, but
+may not set a field the [sweep] varies.
 
-Exit codes: 0 success, 1 config error, 2 runtime/IO error.
+Exit codes: 0 success, 1 config or flag value error, 2 runtime/IO or usage error.
 """
 
 from __future__ import annotations
@@ -46,6 +49,14 @@ from .engine import FIELD_TYPES, PROTOCOLS, SimConfig, simulate
 
 PROTOCOL_CHOICES = (*PROTOCOLS, "both")
 
+FLAGS = {  # each command-line flag: (the top-level config key it sets, its help)
+    "--protocol": ("protocol", f"override protocol: {' | '.join(PROTOCOL_CHOICES)}"),
+    "--seed": ("seed", "override base RNG seed"),
+    "--duration": ("duration", "override simulated seconds"),
+    "--nodes": ("n_nodes", "override node count"),
+    "--output": ("output_dir", "override output directory"),
+}
+
 # SimConfig fields a [sweep] cannot vary, with a hint where one helps.
 _UNSWEEPABLE = {
     "failure_injections": "",
@@ -55,7 +66,7 @@ _UNSWEEPABLE = {
 
 
 class ConfigError(ValueError):
-    """Config file problem, annotated with the offending line number."""
+    """Config problem, annotated with the offending line number or flag."""
 
 
 class SweepError(ValueError):
@@ -79,13 +90,11 @@ class ExperimentSpec:
 
     base: SimConfig = field(default_factory=SimConfig)
     sweep: list[tuple[str, list]] = field(default_factory=list)
-    protocol: str = "sentinel"  # sentinel | peas | both
+    paired: bool = False  # run every protocol on each seed, in place of base.protocol
     replications: int = 1
     output_dir: Path = Path("results")
 
     def validate(self) -> None:
-        if self.protocol not in PROTOCOL_CHOICES:
-            raise ValueError(f"protocol must be one of {PROTOCOL_CHOICES}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         names = [name for name, _ in self.sweep]
@@ -94,7 +103,7 @@ class ExperimentSpec:
             if problem:
                 raise ValueError(problem)
             if not values:
-                raise ValueError(f"sweep parameter {name!r} has no values")
+                raise SweepError(f"sweep parameter {name!r} has no values", name)
             if names.count(name) > 1:  # its points would all run the last values
                 raise SweepError(f"sweep key {name!r} is repeated", name)
         seen = set()
@@ -105,7 +114,7 @@ class ExperimentSpec:
                     raise ValueError("another point has the same name")
                 seen.add(point)
                 config.validate()
-                if self.protocol == "both" and config.n_nodes == 0:
+                if self.paired and config.n_nodes == 0:
                     raise ValueError(
                         "protocol = both needs n_nodes >= 1, or the energy saving is undefined"
                     )
@@ -115,7 +124,7 @@ class ExperimentSpec:
                 raise SweepError(f"sweep point {point!r}: {exc}") from exc
 
 
-def _parse_scalar(key: str, raw: str, lineno: int):
+def _parse_scalar(key: str, raw: str, where: str):
     raw = raw.strip()
     kind = FIELD_TYPES[key]
     try:
@@ -132,35 +141,34 @@ def _parse_scalar(key: str, raw: str, lineno: int):
             return None if raw.lower() == "none" else float(raw)
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
-def _parse_failures(raw: str, lineno: int) -> list[tuple[int, float]]:
+def _parse_failures(raw: str, where: str) -> list[tuple[int, float]]:
     out = []
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
         if "@" not in part:
-            raise ConfigError(
-                f"line {lineno}: failure injections use node_id@time, got {part!r}"
-            )
+            raise ConfigError(f"{where}: failure injections use node_id@time, got {part!r}")
         nid, when = part.split("@", 1)
         try:
             out.append((int(nid), float(when)))
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad failure injection {part!r}") from exc
+            raise ConfigError(f"{where}: bad failure injection {part!r}") from exc
     return out
 
 
-def parse_config(text: str) -> ExperimentSpec:
+def parse_config(text: str, flags: dict[str, str] | None = None) -> ExperimentSpec:
     """Build a fully validated ExperimentSpec from `key = value` text.
 
-    Empty text yields the all-defaults spec. Unknown keys, type mismatches,
-    and invariant violations raise ConfigError with the line number.
+    Empty text yields the all-defaults spec. `flags` ({"--nodes": "20"}) override
+    the text's top-level values. Unknown keys, type mismatches, repeated keys
+    and invariant violations raise ConfigError naming the line or flag.
     """
     spec = ExperimentSpec()
-    sim_kwargs: dict = {}
+    top: dict[str, tuple[str, str]] = {}  # top-level key -> (raw value, its line or flag)
     sweep_lines: list[tuple[str, int]] = []  # (sweep key, its line)
     section = ""
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -175,36 +183,44 @@ def parse_config(text: str) -> ExperimentSpec:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        where = f"line {lineno}"
         if section == "sweep":
             problem = _sweep_key_problem(key)
             if problem:
-                raise ConfigError(f"line {lineno}: {problem}")
-            values = [_parse_scalar(key, v, lineno) for v in raw.split(",") if v.strip()]
-            if not values:
-                raise ConfigError(f"line {lineno}: sweep key {key!r} has no values")
+                raise ConfigError(f"{where}: {problem}")
+            values = [_parse_scalar(key, v, where) for v in raw.split(",") if v.strip()]
             spec.sweep.append((key, values))
             sweep_lines.append((key, lineno))
         else:  # top level / [simulation] / [energy]
-            if key == "replications":
-                try:
-                    spec.replications = int(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"line {lineno}: bad replications {raw!r}") from exc
-            elif key == "output_dir":
-                spec.output_dir = Path(raw)
-            elif key == "protocol":
-                if raw not in PROTOCOL_CHOICES:
-                    raise ConfigError(
-                        f"line {lineno}: protocol must be one of {PROTOCOL_CHOICES}, "
-                        f"got {raw!r}"
-                    )
-                spec.protocol = raw
-            elif key == "failure_injections":
-                sim_kwargs["failure_injections"] = _parse_failures(raw, lineno)
-            elif key in FIELD_TYPES:
-                sim_kwargs[key] = _parse_scalar(key, raw, lineno)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in top:  # the later line would silently win
+                raise ConfigError(f"{where}: key {key!r} is repeated from {top[key][1]}")
+            top[key] = (raw, where)
+    top.update({FLAGS[flag][0]: (raw, flag) for flag, raw in (flags or {}).items()})
+    sim_kwargs: dict = {}
+    for key, (raw, where) in top.items():
+        if where in FLAGS and key in dict(spec.sweep):  # the sweep would replace it
+            raise ConfigError(f"{where}: cannot override {key!r}: the [sweep] varies it")
+        if key == "replications":
+            try:
+                spec.replications = int(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: bad replications {raw!r}") from exc
+        elif key == "output_dir":
+            spec.output_dir = Path(raw)
+        elif key == "protocol":
+            if raw not in PROTOCOL_CHOICES:
+                raise ConfigError(
+                    f"{where}: protocol must be one of {PROTOCOL_CHOICES}, got {raw!r}"
+                )
+            spec.paired = raw == "both"
+            if not spec.paired:
+                sim_kwargs["protocol"] = raw
+        elif key == "failure_injections":
+            sim_kwargs["failure_injections"] = _parse_failures(raw, where)
+        elif key in FIELD_TYPES:
+            sim_kwargs[key] = _parse_scalar(key, raw, where)
+        else:
+            raise ConfigError(f"{where}: unknown key {key!r}")
     spec.base = SimConfig(**sim_kwargs)
     try:
         spec.validate()
@@ -217,8 +233,8 @@ def parse_config(text: str) -> ExperimentSpec:
     return spec
 
 
-def load_config(path: Path) -> ExperimentSpec:
-    return parse_config(path.read_text())
+def load_config(path: Path, flags: dict[str, str] | None = None) -> ExperimentSpec:
+    return parse_config(path.read_text(), flags)
 
 
 def _point_label(value) -> str:
@@ -247,7 +263,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out_root = spec.output_dir
     out_root.mkdir(parents=True, exist_ok=True)
     summary_rows: list[dict[str, str]] = []
-    protocols = PROTOCOLS if spec.protocol == "both" else (spec.protocol,)
+    protocols = PROTOCOLS if spec.paired else (spec.base.protocol,)
     for point_name, overrides in _sweep_points(spec):
         point_dir = out_root / point_name
         try:
@@ -309,32 +325,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Run duty-cycle scheduling experiments and write metric CSVs.",
     )
     parser.add_argument("--config", type=Path, help="experiment config file")
-    parser.add_argument("--protocol", choices=PROTOCOL_CHOICES, help="override protocol")
-    parser.add_argument("--seed", type=int, help="override base RNG seed")
-    parser.add_argument("--duration", type=float, help="override simulated seconds")
-    parser.add_argument("--nodes", type=int, help="override node count")
-    parser.add_argument("--output", type=Path, help="override output directory")
+    for flag, (_, help_text) in FLAGS.items():  # raw strings: parse_config checks them
+        parser.add_argument(flag, help=help_text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    flags = {f"--{k}": v for k, v in vars(args).items() if k != "config" and v is not None}
     try:
-        spec = load_config(args.config) if args.config else ExperimentSpec()
-        if args.protocol:
-            spec.protocol = args.protocol
-        if args.seed is not None:
-            spec.base.seed = args.seed
-        swept = {name for name, _ in spec.sweep}
-        for name, value in (("duration", args.duration), ("n_nodes", args.nodes)):
-            if value is None:
-                continue
-            if name in swept:  # the sweep would silently replace the override
-                raise ConfigError(f"cannot override {name!r}: the [sweep] varies it")
-            setattr(spec.base, name, value)
-        if args.output is not None:
-            spec.output_dir = args.output
-        spec.validate()
+        spec = load_config(args.config, flags) if args.config else parse_config("", flags)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -36,7 +36,8 @@ def test_empty_text_yields_all_defaults():
     assert spec.base.t_w == 1.0
     assert spec.base.beta == 2.0
     assert spec.base.msg_size == 25
-    assert spec.protocol == "sentinel"
+    assert spec.base.protocol == "sentinel"
+    assert spec.paired is False
     assert spec.replications == 1
 
 
@@ -44,8 +45,12 @@ def test_simple_overrides():
     spec = parse_config("beta = 1.5\nn_nodes = 300\nprotocol = both\nreplications = 5")
     assert spec.base.beta == 1.5
     assert spec.base.n_nodes == 300
-    assert spec.protocol == "both"
+    assert spec.paired is True
+    assert spec.base.protocol == "sentinel"  # a paired spec does not read it
     assert spec.replications == 5
+    spec = parse_config("protocol = peas")
+    assert spec.base.protocol == "peas"
+    assert spec.paired is False
 
 
 def test_invariant_violation_reported():
@@ -221,8 +226,105 @@ def test_main_rejects_an_override_of_a_swept_field(tmp_path, capsys, flag, name)
     assert main(["--config", str(cfg), flag, "5", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
-    assert f"cannot override {name!r}" in err
+    assert f"{flag}: cannot override {name!r}" in err
     assert not out.exists()
+
+
+def test_code_built_spec_runs_its_base_protocol(tmp_path):
+    spec = ExperimentSpec(
+        base=SimConfig(protocol="peas", n_nodes=10, duration=20.0), output_dir=tmp_path / "out"
+    )
+    assert run_experiment(spec) == 0
+    assert sorted(p.name for p in (spec.output_dir / "base").iterdir()) == ["peas_rep0"]
+    summary = json.loads((spec.output_dir / "base" / "peas_rep0" / "summary.json").read_text())
+    assert summary["config"]["protocol"] == "peas"
+
+
+def test_protocol_both_from_file_or_flag_gives_equal_specs(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST)
+    from_flag = load_config(cfg, {"--protocol": "both"})
+    assert from_flag == parse_config(FAST + "protocol = both")
+    assert from_flag.paired is True
+    base = SimConfig(n_nodes=40, duration=200, seed=9)
+    assert from_flag == ExperimentSpec(base=base, paired=True)
+
+
+@pytest.mark.parametrize(
+    "in_file,flag,paired,base_protocol",
+    [("both", "peas", False, "peas"), ("peas", "both", True, "sentinel")],
+)
+def test_protocol_flag_overrides_the_file(tmp_path, in_file, flag, paired, base_protocol):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST + f"protocol = {in_file}\n")
+    spec = load_config(cfg, {"--protocol": flag})
+    assert (spec.paired, spec.base.protocol) == (paired, base_protocol)
+    assert spec == parse_config(FAST + f"protocol = {flag}")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--protocol", flag, "--output", str(out)]) == 0
+    expected = ["peas_rep0", "sentinel_rep0"] if paired else [f"{flag}_rep0"]
+    assert sorted(p.name for p in (out / "base").iterdir()) == expected
+
+
+@pytest.mark.parametrize(
+    "flag,value,expected",
+    [
+        ("--nodes", "abc", ["--nodes: bad value for 'n_nodes'"]),
+        ("--seed", "1.5", ["--seed: bad value for 'seed'"]),
+        ("--duration", "soon", ["--duration: bad value for 'duration'"]),
+        ("--protocol", "flood", ["--protocol: protocol must be one of", "'flood'"]),
+        ("--nodes", "-5", ["n_nodes"]),
+    ],
+)
+def test_main_rejects_a_bad_flag_value(tmp_path, capsys, flag, value, expected):
+    out = tmp_path / "out"
+    assert main([flag, value, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for fragment in expected:
+        assert fragment in err
+    assert not out.exists()
+
+
+def test_main_keeps_argparse_usage_errors(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "1", "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("seed = 3\nseed = 4", "line 2: key 'seed'"),
+        ("protocol = peas\nn_nodes = 10\nprotocol = both", "line 3: key 'protocol'"),
+        ("p_active = 0.01\n[energy]\np_active = 0.02", "line 3: key 'p_active'"),
+        ("replications = 2\nreplications = 3", "line 2: key 'replications'"),
+    ],
+)
+def test_repeated_top_level_key_names_both_lines(tmp_path, capsys, text, expected):
+    # the later line would win silently
+    expected += " is repeated from line 1"
+    with pytest.raises(ConfigError, match=expected):
+        parse_config(text)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--output", str(out)]) == 1
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_override_file_keys_without_a_repeat_error(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST + "output_dir = from_file\n")
+    spec = load_config(
+        cfg, {"--seed": "4", "--nodes": "20", "--duration": "100", "--output": str(tmp_path / "o")}
+    )
+    assert (spec.base.seed, spec.base.n_nodes, spec.base.duration) == (4, 20, 100.0)
+    assert spec.output_dir == tmp_path / "o"
+    text = f"seed = 4\nn_nodes = 20\nduration = 100\noutput_dir = {tmp_path / 'o'}"
+    assert spec == parse_config(text)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +344,7 @@ def test_main_rejects_an_override_of_a_swept_field(tmp_path, capsys, flag, name)
         ("t_sleep_max_scale = -1", ["t_sleep_max_scale"]),
         ("n_nodes = 10\n[bogus]\nbeta = 2", ["line 2", "unknown section [bogus]"]),
         ("n_nodes = 10\nbeta 2", ["line 2", "expected key = value"]),
-        ("[sweep]\nn_nodes = ,", ["line 2", "sweep key 'n_nodes' has no values"]),
+        ("[sweep]\nn_nodes = ,", ["line 2", "sweep parameter 'n_nodes' has no values"]),
         ("replications = many", ["line 1", "bad replications 'many'"]),
         ("n_nodes = 10\nprotocol = flood", ["line 2", "protocol must be one of"]),
         ("n_nodes = 10\nfailure_injections = 1@soon", ["line 2", "bad failure injection"]),
@@ -363,7 +465,7 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "kw,match",
     [
-        (dict(protocol="flood"), "^protocol must be one of"),
+        (dict(base=SimConfig(protocol="flood")), "^protocol must be one of"),
         (dict(sweep=[("beta", [])]), "^sweep parameter 'beta' has no values"),
         (dict(base=SimConfig(k_probes=2.5)), "^k_probes must be int"),
         (dict(sweep=[("n_nodes", [10.5])]), "n_nodes must be int, got 10.5"),
