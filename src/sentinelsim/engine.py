@@ -262,9 +262,10 @@ class World:
         A charge that fits the budget is added inline by its caller, to its
         field and to spent_total; only one that does not fit comes here.
         """
-        budget = node.initial_energy - node.spent_total
+        initial = self.config.initial_energy
+        budget = initial - node.spent_total
         setattr(node, category, getattr(node, category) + budget)
-        node.spent_total = node.initial_energy
+        node.spent_total = initial
         if node.state is not _DEAD:
             self.set_state(node, _DEAD, now)
 
@@ -278,7 +279,7 @@ class World:
         p = self._power[node.state]
         if p > 0.0:
             amount = p * dt
-            if amount < node.initial_energy - node.spent_total:
+            if amount < self.config.initial_energy - node.spent_total:
                 node.spent_state += amount
                 node.spent_total += amount
             else:
@@ -376,7 +377,7 @@ class World:
         else:
             self.replies_sent += 1
         e_tx = cfg.e_tx
-        if e_tx < sender.initial_energy - sender.spent_total:
+        if e_tx < cfg.initial_energy - sender.spent_total:
             sender.spent_tx += e_tx
             sender.spent_total += e_tx
         else:
@@ -439,7 +440,6 @@ def deploy(
             state=NodeState.SLEEPING,
             probe_rate=rate,
             wake_deadline=sleep,
-            initial_energy=config.initial_energy,
         )
         world.nodes.append(node)
 
@@ -491,6 +491,7 @@ def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
 def _handle_delivery(world: World, frame: Frame, now: float) -> None:
     cfg = world.config
     e_rx = cfg.e_rx
+    budget = cfg.initial_energy
     jitter = cfg.reply_jitter
     dropped = frame.dropped
     radio_on = world._radio_on
@@ -507,7 +508,7 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
         charge(node, now)
         if rid not in radio_on:
             continue
-        if e_rx < node.initial_energy - node.spent_total:
+        if e_rx < budget - node.spent_total:
             node.spent_rx += e_rx
             node.spent_total += e_rx
         else:
@@ -596,13 +597,15 @@ def _record_sample(world: World, now: float) -> None:
     world.result.conflict_ages.append((now, oldest))
 
 
-def run(world: World, duration: float | None = None) -> RunResult:
-    """Drive the event loop until the end-of-run marker; return world.result."""
+def run(world: World, duration: None = None) -> RunResult:
+    """Drive the event loop to SimConfig.duration; return world.result.
+    `duration` stays for callers that pass None; any other value raises."""
+    if duration is not None:
+        raise ValueError(f"the run length is SimConfig.duration, not run's {duration!r}")
     if world._finished:
         raise SimError("world has already been run")
     cfg = world.config
-    if duration is None:
-        duration = cfg.duration
+    duration = cfg.duration
     world.push(duration, _END)
     if duration > 0.0:
         world.push(0.0, _SAMPLE)

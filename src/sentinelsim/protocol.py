@@ -81,9 +81,9 @@ class ProbeReply:
 class SensorNode:
     """Protocol actor: position, lifecycle state, energy ledger, probe rate.
 
-    Energy is tracked as spent amounts per category; the remaining budget is
-    derived so the ledger always reconciles. last_charge_time marks how far the
-    state-power integral has been advanced.
+    Energy is tracked as spent amounts per category against the budget in
+    SimConfig.initial_energy, so the ledger always reconciles. last_charge_time
+    marks how far the state-power integral has been advanced.
     """
 
     id: int
@@ -95,7 +95,6 @@ class SensorNode:
     wake_deadline: float = 0.0
     probes_sent_this_round: int = 0
     timeout_token: int = 0            # stale reply-timeout events carry old tokens
-    initial_energy: float = 18_720.0  # J
     spent_state: float = 0.0          # J, integral of state power over time
     spent_tx: float = 0.0             # J, per-message transmit costs
     spent_rx: float = 0.0             # J, per-message receive costs
@@ -105,10 +104,6 @@ class SensorNode:
     @property
     def position(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-    @property
-    def energy_remaining(self) -> float:
-        return max(0.0, self.initial_energy - self.spent_total)
 
 
 def change_state(node: SensorNode, new: NodeState) -> None:
@@ -176,7 +171,7 @@ def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest | N
     """
     if node.state is _DEAD:
         return None
-    if node.initial_energy - node.spent_total <= 0.0:  # energy_remaining, inline
+    if config.initial_energy - node.spent_total <= 0.0:
         change_state(node, _DEAD)
         return None
     if node.state is not _SLEEPING:

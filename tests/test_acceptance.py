@@ -242,7 +242,7 @@ def test_criterion_8_determinism_and_energy_conservation():
     identical = metrics_to_csv(rows_a) == metrics_to_csv(rows_b)
     worst_rel = 0.0
     for node in world_a.nodes:
-        consumed = node.initial_energy - node.energy_remaining
+        consumed = node.spent_total
         parts = node.spent_state + node.spent_tx + node.spent_rx
         if consumed > 0:
             worst_rel = max(worst_rel, abs(consumed - parts) / consumed)

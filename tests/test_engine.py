@@ -296,7 +296,7 @@ def test_deployment_positions_within_field_and_sleeps_in_window():
         assert 0.0 <= node.x <= 50.0 and 0.0 <= node.y <= 50.0
         assert 0.0 < node.wake_deadline <= cfg.ts_initial
         assert node.state is NodeState.SLEEPING
-        assert node.energy_remaining == cfg.initial_energy
+        assert node.spent_total == 0.0
 
 
 def test_duration_zero_produces_single_row_and_no_activity():
@@ -327,7 +327,6 @@ def test_lone_node_drains_to_death():
     run(world)
     node = world.nodes[0]
     assert node.state is NodeState.DEAD
-    assert node.energy_remaining == 0.0
     assert node.spent_total == cfg.initial_energy
 
 
@@ -377,7 +376,7 @@ def test_reply_jitter_is_uniform_from_one_draw(seed, jitter):
 
 def test_overlapping_frames_collide_destructively_at_common_receiver(force_state):
     # senders out of each other's range, both audible at the middle node
-    cfg = small_config(n_nodes=3, duration=100.0)
+    cfg = small_config(n_nodes=3, duration=6.0)
     world = deploy(
         cfg, positions=[(0.0, 0.0), (30.0, 0.0), (15.0, 0.0)], initial_sleeps=[90.0] * 3
     )
@@ -389,14 +388,14 @@ def test_overlapping_frames_collide_destructively_at_common_receiver(force_state
     force_state(world, c, NodeState.PROBING)
     world.broadcast(a, ProbeRequest(a.id), 5.0)
     world.broadcast(b, ProbeRequest(b.id), 5.0004)
-    run(world, duration=6.0)
+    run(world)
     assert world.collisions == 1
     assert c.spent_rx == 0.0  # both frames died at the shared receiver
 
 
 def _three_guards_around_a_prober(force_state, **kw):
     """Guards a, b and d, out of each other's range, all audible at prober c."""
-    cfg = small_config(n_nodes=4, duration=100.0, **kw)
+    cfg = small_config(n_nodes=4, duration=6.0, **kw)
     world = deploy(
         cfg,
         positions=[(0.0, 0.0), (30.0, 0.0), (15.0, 0.0), (15.0, 15.0)],
@@ -415,7 +414,7 @@ def test_abutting_frames_both_arrive(force_state):
     a, b, c, _ = world.nodes
     world.broadcast(a, ProbeRequest(a.id), 5.0)
     world.broadcast(b, ProbeRequest(b.id), 5.0 + cfg.airtime)  # a's end
-    run(world, duration=6.0)
+    run(world)
     assert world.collisions == 0
     assert c.spent_rx == pytest.approx(2 * cfg.e_rx, rel=1e-12)
 
@@ -429,7 +428,7 @@ def test_frame_overlapping_two_inflight_frames_collides_once(force_state):
     world.broadcast(a, ProbeRequest(a.id), 5.0)
     assert world.collisions == 0
     world.broadcast(d, ProbeRequest(d.id), 5.0006)
-    run(world, duration=6.0)
+    run(world)
     assert world.collisions == 1
     assert c.spent_rx == 0.0  # all three frames died at c
 
@@ -440,19 +439,19 @@ def test_overlapping_frames_all_arrive_without_the_collision_model(force_state):
     world.broadcast(a, ProbeRequest(a.id), 5.0)
     world.broadcast(b, ProbeRequest(b.id), 5.0002)
     world.broadcast(d, ProbeRequest(d.id), 5.0004)
-    run(world, duration=6.0)
+    run(world)
     assert world.collisions == 0
     assert c.spent_rx == pytest.approx(3 * cfg.e_rx, rel=1e-12)
 
 
 def test_sleeping_receiver_hears_nothing_and_never_collides(force_state):
-    cfg = small_config(n_nodes=2, duration=10.0)
+    cfg = small_config(n_nodes=2, duration=2.0)
     world = deploy(cfg, positions=[(0.0, 0.0), (5.0, 0.0)], initial_sleeps=[9.0, 9.5])
     a, b = world.nodes
     force_state(world, a, NodeState.ACTIVE)
     a.activity_start = 0.0
     world.broadcast(a, ProbeRequest(a.id), 1.0)
-    run(world, duration=2.0)
+    run(world)
     assert world.probes_received == 0
     assert world.collisions == 0
     assert b.spent_rx == 0.0
@@ -482,7 +481,7 @@ def test_dead_sender_cannot_broadcast():
 def test_first_valid_reply_wins_and_later_ones_find_radio_off(force_state):
     # two guards (out of each other's range) answer one prober; the second
     # reply arrives after the prober already went back to sleep
-    cfg = small_config(n_nodes=3, duration=20.0, collisions=False)
+    cfg = small_config(n_nodes=3, duration=4.0, collisions=False)
     world = deploy(
         cfg,
         positions=[(0.0, 0.0), (30.0, 0.0), (15.0, 0.0)],
@@ -492,7 +491,7 @@ def test_first_valid_reply_wins_and_later_ones_find_radio_off(force_state):
     for guard in (a, b):
         force_state(world, guard, NodeState.ACTIVE)
         guard.activity_start = 0.0
-    run(world, duration=4.0)
+    run(world)
     assert prober.state is NodeState.SLEEPING
     assert world.replies_sent == 2
     assert world.replies_received == 1
@@ -537,9 +536,20 @@ def test_event_in_the_past_rejected():
 
 def test_world_runs_only_once():
     world = deploy(small_config(n_nodes=1))
-    run(world, duration=1.0)
+    run(world)
     with pytest.raises(SimError):
-        run(world, duration=2.0)
+        run(world)
+
+
+@pytest.mark.parametrize("duration", [5.0, 300.0, 100.0, math.nan, math.inf])
+def test_run_length_comes_only_from_the_config(duration):
+    # a second run length would skip SimConfig.validate and disagree with
+    # RunResult.config, even when it equals the config's
+    world = deploy(small_config(n_nodes=1))
+    with pytest.raises(ValueError, match="SimConfig.duration"):
+        run(world, duration)
+    assert world.clock == 0.0 and world.result.rows == []
+    assert run(world).rows[-1].time == 100.0
 
 
 # -- state changes outside the protocol handlers ----------------------------------
@@ -575,7 +585,7 @@ def test_energy_ledger_reconciles_on_a_real_run():
     world = deploy(cfg)
     run(world)
     for node in world.nodes:
-        consumed = node.initial_energy - node.energy_remaining
+        consumed = node.spent_total
         parts = node.spent_state + node.spent_tx + node.spent_rx
         assert consumed == pytest.approx(parts, rel=1e-9, abs=1e-12)
     total = world.result.rows[-1].total_energy_consumed

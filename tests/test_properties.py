@@ -50,7 +50,7 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
     for node in world.nodes:
         parts = node.spent_state + node.spent_tx + node.spent_rx
         assert abs(parts - node.spent_total) <= LEDGER_TOLERANCE * max(1.0, node.spent_total)
-        assert node.spent_total <= node.initial_energy
+        assert node.spent_total <= cfg.initial_energy
 
     rows = result.rows
     for row in rows:

@@ -70,10 +70,16 @@ def test_wake_opens_probing_round():
 
 
 def test_wake_with_no_energy_dies_silently():
-    node = make_node(initial_energy=1.0)
+    node = make_node()
     node.spent_state = node.spent_total = 1.0
-    assert on_wake(node, PARAMS, 50.0) is None
+    assert on_wake(node, replace(PARAMS, initial_energy=1.0), 50.0) is None
     assert node.state is NodeState.DEAD
+
+
+def test_the_node_keeps_no_copy_of_the_budget():
+    # the budget is SimConfig.initial_energy, read by the engine and on_wake
+    assert "initial_energy" not in SensorNode.__slots__
+    assert not hasattr(SensorNode, "energy_remaining")
 
 
 def test_wake_on_active_node_is_an_invariant_violation():
