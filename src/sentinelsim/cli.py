@@ -45,7 +45,7 @@ from .analysis import (
     summary_to_json,
     write_metrics_csv,
 )
-from .engine import FIELD_TYPES, PROTOCOLS, SimConfig, simulate
+from .engine import FIELD_TYPES, PROTOCOLS, SimConfig, _fits, simulate
 
 PROTOCOL_CHOICES = (*PROTOCOLS, "both")
 
@@ -95,6 +95,11 @@ class ExperimentSpec:
     output_dir: Path = Path("results")
 
     def validate(self) -> None:
+        # the rule SimConfig.validate applies to its fields: a bool is no int
+        for name, kind in (("paired", bool), ("replications", int)):
+            value = getattr(self, name)
+            if not _fits(value, kind):
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         names = [name for name, _ in self.sweep]

@@ -267,7 +267,9 @@ class World:
         setattr(node, category, getattr(node, category) + budget)
         node.spent_total = initial
         if node.state is not _DEAD:
-            self.set_state(node, _DEAD, now)
+            prev = node.state
+            change_state(node, _DEAD)
+            self._sync_state(node, prev, now)
 
     def charge(self, node: SensorNode, now: float) -> None:
         """Advance the node's state-power integral to `now`, applying death by
@@ -289,7 +291,13 @@ class World:
 
     def set_state(self, node: SensorNode, new: NodeState, now: float) -> None:
         """Move a node to `new` outside a protocol handler, with the engine's
-        books; an illegal move raises ProtocolError and changes nothing."""
+        books. The node is charged up to `now` at its old state's power first,
+        so the time before the move is billed at that power. A node dead by
+        then (that charge may spend its budget) stays so: a move to DEAD is a
+        no-op. An illegal move raises ProtocolError and leaves the state."""
+        self.charge(node, now)
+        if new is _DEAD and node.state is _DEAD:
+            return
         prev = node.state
         change_state(node, new)
         self._sync_state(node, prev, now)
@@ -335,8 +343,8 @@ class World:
 
     # -- radio ----------------------------------------------------------------
 
-    def broadcast(self, sender: SensorNode, msg, start: float) -> None:
-        """Put one frame on the air at `start`.
+    def broadcast(self, sender: SensorNode, msg, start: float) -> Frame:
+        """Put one frame on the air at `start` and return it.
 
         Every other in-range node whose radio is on is a receiver; each draws
         an independent loss and, when the frame overlaps another transmission
@@ -384,6 +392,7 @@ class World:
             self._deplete(sender, "spent_tx", start)
         if receivers:
             self.push(end, _DELIVERY, frame)
+        return frame
 
     # -- introspection ---------------------------------------------------------
 
@@ -543,9 +552,7 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
     node = world.nodes[node_id]
     if node.state is _DEAD:
         return
-    world.charge(node, now)
-    if node.state is not _DEAD:
-        world.set_state(node, _DEAD, now)
+    world.set_state(node, _DEAD, now)
     covered = any(
         math.hypot(node.x - other.x, node.y - other.y) <= world.config.delta
         for other in world.nodes

@@ -469,6 +469,11 @@ def test_spec_validation():
         (dict(sweep=[("beta", [])]), "^sweep parameter 'beta' has no values"),
         (dict(base=SimConfig(k_probes=2.5)), "^k_probes must be int"),
         (dict(sweep=[("n_nodes", [10.5])]), "n_nodes must be int, got 10.5"),
+        # any truthy value would pair the run, True would run it once, and
+        # 1.5 would fail in the run loop
+        (dict(paired="no"), "^paired must be bool, got 'no'"),
+        (dict(replications=True), "^replications must be int, got True"),
+        (dict(replications=1.5), "^replications must be int, got 1.5"),
     ],
 )
 def test_code_built_spec_rejected(kw, match):

@@ -357,10 +357,8 @@ def test_configured_message_size_drives_airtime(force_state):
     force_state(world, sender, NodeState.ACTIVE)
     sender.activity_start = 0.0
     force_state(world, receiver, NodeState.PROBING)
-    world.broadcast(sender, ProbeRequest(0), 1.0)
-    # heap entries are (time, seq, kind, payload)
-    delivery = min(ev for ev in world._heap if ev[2] is EventKind.MESSAGE_DELIVERY)
-    assert delivery[0] == pytest.approx(1.0016, rel=1e-12)
+    frame = world.broadcast(sender, ProbeRequest(0), 1.0)
+    assert frame.end == pytest.approx(1.0016, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 11, 23, 2**31 - 1])
@@ -473,7 +471,7 @@ def test_dead_sender_cannot_broadcast():
     cfg = small_config(n_nodes=1)
     world = deploy(cfg, positions=[(0.0, 0.0)], initial_sleeps=[1.0])
     node = world.nodes[0]
-    node.state = NodeState.DEAD
+    world.set_state(node, NodeState.DEAD, 0.0)
     with pytest.raises(SimError):
         world.broadcast(node, ProbeRequest(0), 0.5)
 
@@ -518,10 +516,9 @@ def test_out_of_order_reply_starts_still_collide_at_the_prober(force_state):
         force_state(world, guard, NodeState.ACTIVE)
         guard.activity_start = 0.0
     # airtime 0.8 ms: C's frame [1.001, 1.0018] overlaps B's [1.0015, 1.0023]
-    for guard, start in ((c, 1.001), (a, 1.004), (b, 1.0015)):
-        world.broadcast(guard, ProbeReply(guard.id, guard.position, 0.0), start)
     frames = {
-        ev[3].msg.sender_id: ev[3] for ev in world._heap if ev[2] is EventKind.MESSAGE_DELIVERY
+        guard.id: world.broadcast(guard, ProbeReply(guard.id, guard.position, 0.0), start)
+        for guard, start in ((c, 1.001), (a, 1.004), (b, 1.0015))
     }
     assert prober.id in frames[c.id].dropped
     assert prober.id in frames[b.id].dropped
@@ -573,8 +570,35 @@ def test_set_state_keeps_the_books():
     node.wake_deadline = 50.0
     world.set_state(node, NodeState.SLEEPING, 2.0)
     assert world.active_ids == set()
-    # heap entries are (time, seq, kind, payload)
-    assert (50.0, EventKind.WAKE, node.id) in [(t, k, p) for t, _, k, p in world._heap]
+    # the engine scheduled the wake: at 50 s the node probes alone, three 1 s
+    # windows, and goes back on duty
+    run(world)
+    assert world.result.activations == [(1.0, node.id), (53.0, node.id)]
+
+
+def test_set_state_bills_the_time_before_the_move_at_the_old_power():
+    cfg = small_config(n_nodes=1)
+    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1e9])
+    node = world.nodes[0]
+    world.set_state(node, NodeState.PROBING, 5.0)  # asleep since t=0
+    world.charge(node, 6.0)
+    assert node.spent_state == cfg.p_sleep * 5.0 + cfg.p_probe_listen * 1.0
+    assert node.spent_state == pytest.approx(0.060015, rel=1e-12)
+
+
+@pytest.mark.parametrize("new", [NodeState.DEAD, NodeState.PROBING])
+def test_set_state_on_a_node_its_charge_depletes(new):
+    # 5 s asleep cost 15 uJ, more than the 10 uJ budget: the node dies at the charge
+    cfg = small_config(n_nodes=1, initial_energy=1e-5)
+    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1e9])
+    node = world.nodes[0]
+    if new is NodeState.DEAD:
+        world.set_state(node, new, 5.0)  # a no-op move
+    else:
+        with pytest.raises(ProtocolError, match="DEAD -> PROBING"):
+            world.set_state(node, new, 5.0)
+    assert node.state is NodeState.DEAD
+    assert node.spent_state == node.spent_total == cfg.initial_energy
 
 
 # -- energy conservation -----------------------------------------------------------

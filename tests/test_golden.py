@@ -82,7 +82,7 @@ def counting_hooks(counts):
 
     def broadcast(self, sender, msg, start):
         counts["broadcast"] += 1
-        originals["broadcast"](self, sender, msg, start)
+        return originals["broadcast"](self, sender, msg, start)
 
     wrappers = {"push": push, "charge": charge, "broadcast": broadcast}
     try:
