@@ -294,16 +294,22 @@ class World:
         books. The node is charged up to `now` at its old state's power first,
         so the time before the move is billed at that power. A node dead by
         then (that charge may spend its budget) stays so: a move to DEAD is a
-        no-op. An illegal move raises ProtocolError and leaves the state."""
+        no-op. An illegal move raises ProtocolError and leaves the state. A
+        node moved to ACTIVE goes on duty at `now`, its activity age's origin."""
         self.charge(node, now)
         if new is _DEAD and node.state is _DEAD:
             return
         prev = node.state
         change_state(node, new)
+        if new is _ACTIVE:
+            node.activity_start = now
         self._sync_state(node, prev, now)
 
     def _sync_state(self, node: SensorNode, prev: NodeState, now: float) -> None:
-        """Engine-side consequences of a protocol state transition."""
+        """Engine-side consequences of a state transition. The move voids the
+        node's pending wake or reply timeout: timer events carry the token
+        they were armed with, and only the current one fires."""
+        node.timer_token += 1
         state = node.state
         if state is _PROBING:
             self._radio_on.add(node.id)
@@ -317,7 +323,7 @@ class World:
                     pair: t for pair, t in self._conflicts.items() if nid not in pair
                 }
             if state is _SLEEPING:
-                self.push(node.wake_deadline, _WAKE, node.id)
+                self.push(node.wake_deadline, _WAKE, (node.id, node.timer_token))
 
     def _enter_active(self, node: SensorNode, now: float) -> None:
         redundant = False
@@ -473,7 +479,7 @@ def deploy(
     world.neighbor_sets = [frozenset(s) for s in adjacency]
 
     for node in world.nodes:
-        world.push(node.wake_deadline, EventKind.WAKE, node.id)
+        world.push(node.wake_deadline, EventKind.WAKE, (node.id, node.timer_token))
     # Hardware failures: the node dies at its time regardless of its remaining
     # energy. Killing an already dead node is a no-op at run time.
     for node_id, when in config.failure_injections:
@@ -492,9 +498,9 @@ def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
     if node.state is not prev:
         world._sync_state(node, prev, now)
     if req is not None:
+        token = node.timer_token  # a death by the probe's own cost voids it
         world.broadcast(node, req, now)
-        node.timeout_token += 1
-        world.push(now + world.config.t_w, _TIMEOUT, (node.id, node.timeout_token))
+        world.push(now + world.config.t_w, _TIMEOUT, (node.id, token))
 
 
 def _handle_delivery(world: World, frame: Frame, now: float) -> None:
@@ -629,16 +635,13 @@ def run(world: World, duration: None = None) -> RunResult:
         world.clock = now
         if kind is _DELIVERY:
             _handle_delivery(world, payload, now)
-        elif kind is _WAKE:
-            node = nodes[payload]
-            if node.state is not _DEAD:
-                _probe_step(world, node, now, protocol.on_wake)
-        elif kind is _TIMEOUT:
+        elif kind is _WAKE or kind is _TIMEOUT:
             nid, token = payload
             node = nodes[nid]
-            # a reply or a state change since arming cancels the timeout
-            if node.state is _PROBING and token == node.timeout_token:
-                _probe_step(world, node, now, protocol.on_reply_timeout)
+            # a state change since arming voids the timer
+            if token == node.timer_token:
+                handler = protocol.on_wake if kind is _WAKE else protocol.on_reply_timeout
+                _probe_step(world, node, now, handler)
         elif kind is _SAMPLE:
             _record_sample(world, now)
             nxt = now + cfg.metrics_interval

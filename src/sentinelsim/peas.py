@@ -3,8 +3,9 @@ activation, no conflict resolution.
 
 Wake, request handling, and timeout mechanics are shared with the sentinel
 policy (protocol.on_wake / on_probe_request / on_reply_timeout); this module
-supplies the wake rate and the two handlers that differ. A node under PEAS
-that activates never sleeps again, and its probe rate never adapts:
+supplies the wake rate and the two handlers that differ. As there, handlers
+move the state machine and the engine arms and voids the timers. A node under
+PEAS that activates never sleeps again, and its probe rate never adapts:
 node.probe_rate stays the run's fixed wake rate, wake_rate(config).
 """
 

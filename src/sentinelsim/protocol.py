@@ -1,9 +1,11 @@
 """Sentinel node state machine: probing rounds, redundancy check, activation,
 and the activity-withdrawal procedure between conflicting guards.
 
-Handlers mutate only the node they are given and return any message the node
-wants on the air; scheduling of wake/timeout events and actual delivery is the
-engine's job. No handler reads another node's state directly.
+Handlers move the state machine of the node they are given and return any
+message the node wants on the air. The engine arms and voids the timers: it
+schedules each wake and reply timeout, and every state change voids the node's
+pending one. Delivery is the engine's job too. No handler reads another node's
+state directly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class NodeState(IntEnum):
 
 # The members, bound once for the handlers: a module global is one dict
 # lookup, an enum member an attribute lookup on top.
-_SLEEPING, _PROBING, _ACTIVE, _DEAD = NodeState
+_SLEEPING, _PROBING, _ACTIVE = NodeState.SLEEPING, NodeState.PROBING, NodeState.ACTIVE
 
 
 # Dead is absorbing; Active can only leave by withdrawal or death.
@@ -94,7 +96,7 @@ class SensorNode:
     activity_start: float | None = None
     wake_deadline: float = 0.0
     probes_sent_this_round: int = 0
-    timeout_token: int = 0            # stale reply-timeout events carry old tokens
+    timer_token: int = 0              # bumped by the engine at every state change
     spent_state: float = 0.0          # J, integral of state power over time
     spent_tx: float = 0.0             # J, per-message transmit costs
     spent_rx: float = 0.0             # J, per-message receive costs
@@ -133,7 +135,6 @@ def go_to_sleep(node: SensorNode, now: float, t_s: float) -> None:
     change_state(node, _SLEEPING)
     node.activity_start = None
     node.probes_sent_this_round = 0
-    node.timeout_token += 1  # cancels any pending reply timeout
     node.wake_deadline = now + t_s
 
 
@@ -162,18 +163,12 @@ def wake_rate(config: SimConfig) -> float:
     return config.lambda_init
 
 
-def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest | None:
+def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest:
     """Wake from sleep and open a probing round.
 
-    Returns the first probe request of the round, or None if the node's budget
-    is exhausted (it dies instead of probing). The caller broadcasts the
+    Returns the first probe request of the round. The caller broadcasts the
     request and schedules a reply timeout at now + t_w.
     """
-    if node.state is _DEAD:
-        return None
-    if config.initial_energy - node.spent_total <= 0.0:
-        change_state(node, _DEAD)
-        return None
     if node.state is not _SLEEPING:
         raise ProtocolError(
             f"wake fired for node {node.id} in state {node.state.name}"

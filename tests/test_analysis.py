@@ -196,7 +196,6 @@ def test_lossless_cluster_accounting(force_state):
 
     for guard in world.nodes[1:]:
         force_state(world, guard, NodeState.ACTIVE)
-        guard.activity_start = 0.0
     result = run(world)
     assert world.probes_sent == 1
     assert world.probes_received == 3  # receivers in range x sent requests
@@ -215,7 +214,6 @@ def test_serialized_reply_conservation(force_state):
 
     guard = world.nodes[1]
     force_state(world, guard, NodeState.ACTIVE)
-    guard.activity_start = 0.0
     run(world)
     assert world.replies_sent == world.replies_received == 1
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sentinelsim.protocol as protocol_mod
 from sentinelsim.analysis import CoverageGrid, coverage_fraction
 from sentinelsim.engine import (
     EventKind,
@@ -355,7 +356,6 @@ def test_configured_message_size_drives_airtime(force_state):
     world = deploy(cfg, positions=[(0.0, 0.0), (5.0, 0.0)], initial_sleeps=[1e9, 1e9])
     sender, receiver = world.nodes
     force_state(world, sender, NodeState.ACTIVE)
-    sender.activity_start = 0.0
     force_state(world, receiver, NodeState.PROBING)
     frame = world.broadcast(sender, ProbeRequest(0), 1.0)
     assert frame.end == pytest.approx(1.0016, rel=1e-12)
@@ -380,9 +380,7 @@ def test_overlapping_frames_collide_destructively_at_common_receiver(force_state
     )
     a, b, c = world.nodes
     force_state(world, a, NodeState.ACTIVE)
-    a.activity_start = 0.0
     force_state(world, b, NodeState.ACTIVE)
-    b.activity_start = 0.0
     force_state(world, c, NodeState.PROBING)
     world.broadcast(a, ProbeRequest(a.id), 5.0)
     world.broadcast(b, ProbeRequest(b.id), 5.0004)
@@ -402,7 +400,6 @@ def _three_guards_around_a_prober(force_state, **kw):
     a, b, c, d = world.nodes
     for guard in (a, b, d):
         force_state(world, guard, NodeState.ACTIVE)
-        guard.activity_start = 0.0
     force_state(world, c, NodeState.PROBING)
     return cfg, world
 
@@ -447,7 +444,6 @@ def test_sleeping_receiver_hears_nothing_and_never_collides(force_state):
     world = deploy(cfg, positions=[(0.0, 0.0), (5.0, 0.0)], initial_sleeps=[9.0, 9.5])
     a, b = world.nodes
     force_state(world, a, NodeState.ACTIVE)
-    a.activity_start = 0.0
     world.broadcast(a, ProbeRequest(a.id), 1.0)
     run(world)
     assert world.probes_received == 0
@@ -460,7 +456,6 @@ def test_no_delivery_beyond_communication_radius(force_state):
     world = deploy(cfg, positions=[(0.0, 0.0), (25.0, 0.0)], initial_sleeps=[1e9, 1.0])
     a, b = world.nodes
     force_state(world, a, NodeState.ACTIVE)
-    a.activity_start = 0.0
     run(world)  # b probes at 1 s; a is out of range so the request dies unheard
     assert world.probes_sent == 3
     assert world.probes_received == 0
@@ -488,7 +483,6 @@ def test_first_valid_reply_wins_and_later_ones_find_radio_off(force_state):
     a, b, prober = world.nodes
     for guard in (a, b):
         force_state(world, guard, NodeState.ACTIVE)
-        guard.activity_start = 0.0
     run(world)
     assert prober.state is NodeState.SLEEPING
     assert world.replies_sent == 2
@@ -514,7 +508,6 @@ def test_out_of_order_reply_starts_still_collide_at_the_prober(force_state):
     force_state(world, prober, NodeState.PROBING)
     for guard in (a, b, c):
         force_state(world, guard, NodeState.ACTIVE)
-        guard.activity_start = 0.0
     # airtime 0.8 ms: C's frame [1.001, 1.0018] overlaps B's [1.0015, 1.0023]
     frames = {
         guard.id: world.broadcast(guard, ProbeReply(guard.id, guard.position, 0.0), start)
@@ -598,6 +591,85 @@ def test_set_state_on_a_node_its_charge_depletes(new):
         with pytest.raises(ProtocolError, match="DEAD -> PROBING"):
             world.set_state(node, new, 5.0)
     assert node.state is NodeState.DEAD
+    assert node.spent_state == node.spent_total == cfg.initial_energy
+
+
+def test_a_guard_placed_by_set_state_answers_with_its_age(monkeypatch):
+    # the move to ACTIVE at 3 s is the guard's activity start
+    cfg = small_config(n_nodes=2, duration=10.0, reply_jitter=0.0)
+    world = deploy(cfg, positions=[(25.0, 25.0), (30.0, 25.0)], initial_sleeps=[1e9, 5.0])
+    guard, prober = world.nodes
+    world.set_state(guard, NodeState.PROBING, 3.0)
+    world.set_state(guard, NodeState.ACTIVE, 3.0)
+    assert guard.activity_start == 3.0
+    replies = []
+    real = protocol_mod.on_probe_request
+
+    def spy(node, msg, now):
+        replies.append(real(node, msg, now))
+        return replies[-1]
+
+    monkeypatch.setattr(protocol_mod, "on_probe_request", spy)
+    run(world)
+    # the prober's probe of 5 s is answered as it lands, one airtime later
+    assert [r.activity_age for r in replies] == [pytest.approx(5.0 + cfg.airtime - 3.0, rel=1e-12)]
+    assert prober.state is NodeState.SLEEPING
+
+
+def test_a_state_change_voids_the_pending_wake():
+    # the move to PROBING voids the deploy-time wake at 10 s; sent to sleep at
+    # 1 s, the node wakes at its new deadline, 5 s, probes alone for three 1 s
+    # windows and goes on duty at 8 s
+    cfg = small_config(n_nodes=1, duration=20.0)
+    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[10.0])
+    node = world.nodes[0]
+    world.set_state(node, NodeState.PROBING, 0.0)
+    node.wake_deadline = 5.0
+    world.set_state(node, NodeState.SLEEPING, 1.0)
+    run(world)
+    assert world.result.activations == [(8.0, node.id)]
+    assert world.probes_sent == 3
+    assert node.state is NodeState.ACTIVE
+
+
+def test_a_guard_placed_by_set_state_is_never_woken(force_state):
+    cfg = small_config(n_nodes=1, duration=20.0)
+    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[2.0])
+    node = world.nodes[0]
+    force_state(world, node, NodeState.ACTIVE)
+    run(world)  # the deploy-time wake at 2 s is void
+    assert world.result.activations == [(0.0, node.id)]
+    assert world.probes_sent == 0
+    assert node.state is NodeState.ACTIVE
+
+
+def test_a_probe_that_spends_the_senders_budget_voids_its_reply_timeout(monkeypatch):
+    # 1 s asleep costs 3 uJ of the 13 uJ budget, and the 50 uJ probe the rest:
+    # the node dies as it transmits, and its timeout at 2 s never fires
+    cfg = small_config(n_nodes=1, duration=10.0, initial_energy=1.3e-5)
+    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
+    charged_at = []
+    real = World.charge
+
+    def spy(self, node, now):
+        charged_at.append(now)
+        real(self, node, now)
+
+    monkeypatch.setattr(World, "charge", spy)
+    run(world)
+    assert world.probes_sent == 1
+    assert world.nodes[0].state is NodeState.DEAD
+    assert charged_at == [0.0, 1.0, 10.0]  # the samples and the wake
+
+
+def test_a_node_whose_budget_runs_out_asleep_dies_at_its_wake_without_probing():
+    # 1 s asleep costs 3 uJ, more than the 1 uJ budget: the wake's charge kills it
+    cfg = small_config(n_nodes=1, duration=10.0, initial_energy=1e-6)
+    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
+    run(world)
+    node = world.nodes[0]
+    assert node.state is NodeState.DEAD
+    assert world.probes_sent == 0
     assert node.spent_state == node.spent_total == cfg.initial_energy
 
 

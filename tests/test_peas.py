@@ -52,7 +52,6 @@ def test_reply_within_probing_range_resets_exponential_sleep(force_state):
     world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
     guard, prober = world.nodes
     force_state(world, guard, NodeState.ACTIVE)
-    guard.activity_start = 0.0
     rate_before = prober.probe_rate
     run(world)
     assert prober.state is NodeState.SLEEPING
@@ -68,7 +67,6 @@ def test_reply_handler_is_looked_up_when_the_reply_arrives(monkeypatch, force_st
     world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
     guard, prober = world.nodes
     force_state(world, guard, NodeState.ACTIVE)
-    guard.activity_start = 0.0
     calls = []
     real = peas_mod.on_probe_reply
 
@@ -94,7 +92,6 @@ def test_reply_from_beyond_probing_range_is_ignored(force_state):
     world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
     guard, prober = world.nodes
     force_state(world, guard, NodeState.ACTIVE)
-    guard.activity_start = 0.0
     run(world)
     # the guard answered but sits outside the acceptance range: the prober
     # exhausts its budget and goes on duty permanently

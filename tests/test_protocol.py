@@ -69,25 +69,22 @@ def test_wake_opens_probing_round():
     assert req == ProbeRequest(sender_id=3)
 
 
-def test_wake_with_no_energy_dies_silently():
-    node = make_node()
-    node.spent_state = node.spent_total = 1.0
-    assert on_wake(node, replace(PARAMS, initial_energy=1.0), 50.0) is None
-    assert node.state is NodeState.DEAD
-
-
 def test_the_node_keeps_no_copy_of_the_budget():
-    # the budget is SimConfig.initial_energy, read by the engine and on_wake
+    # the budget is SimConfig.initial_energy, read by the engine alone
     assert "initial_energy" not in SensorNode.__slots__
     assert not hasattr(SensorNode, "energy_remaining")
 
 
-def test_wake_on_active_node_is_an_invariant_violation():
-    node = make_node(state=NodeState.PROBING)
-    change_state(node, NodeState.ACTIVE)
-    node.activity_start = 0.0
-    with pytest.raises(ProtocolError):
+@pytest.mark.parametrize(
+    "state", [NodeState.PROBING, NodeState.ACTIVE, NodeState.DEAD], ids=lambda s: s.name
+)
+def test_wake_on_active_node_is_an_invariant_violation(state):
+    # the engine voids a node's wake at every state change, so only a
+    # sleeping node is ever woken
+    node = make_node(state=state, activity_start=0.0)
+    with pytest.raises(ProtocolError, match=f"wake fired for node 0 in state {state.name}"):
         on_wake(node, PARAMS, 10.0)
+    assert node.state is state
 
 
 # -- on_probe_request ----------------------------------------------------------
@@ -146,14 +143,6 @@ def test_reply_from_beyond_threshold_is_ignored():
     assert on_probe_reply(node, reply, PARAMS, now=100.0, r=0.5) is False
     assert node.state is NodeState.PROBING
     assert node.probe_rate == 0.01
-
-
-def test_sleep_cancels_pending_timeout_token():
-    node = _probing_node()
-    token_before = node.timeout_token
-    reply = ProbeReply(sender_id=7, sender_position=(5.0, 0.0), activity_age=3.0)
-    on_probe_reply(node, reply, PARAMS, now=100.0, r=0.5)
-    assert node.timeout_token == token_before + 1
 
 
 # -- on_reply_timeout -------------------------------------------------------------
