@@ -204,7 +204,7 @@ class World:
         "probes_sent", "probes_received", "replies_sent", "replies_received",
         "collisions", "withdrawals", "_heap", "_seq", "_inflight", "_radio_on",
         "_conflicts", "_grid", "_sampled_ids", "_sampled_coverage", "_power",
-        "_finished",
+        "_counts", "_guards", "_finished",
     )
 
     def __init__(self, config: SimConfig):
@@ -229,6 +229,10 @@ class World:
         self._seq = 0
         self._inflight: dict[int, list[Frame]] = {}
         self._radio_on: set[int] = set()
+        # nodes per state (indexed by NodeState) and the ACTIVE ids; written
+        # only in _sync_state, so the sampler reads them instead of counting
+        self._counts = [0] * len(NodeState)
+        self._guards: set[int] = set()
         self._conflicts: dict[tuple[int, int], float] = {}
         self._grid = CoverageGrid(
             config.field_width, config.field_height, config.coverage_resolution
@@ -295,7 +299,10 @@ class World:
         so the time before the move is billed at that power. A node dead by
         then (that charge may spend its budget) stays so: a move to DEAD is a
         no-op. An illegal move raises ProtocolError and leaves the state. A
-        node moved to ACTIVE goes on duty at `now`, its activity age's origin."""
+        node moved to ACTIVE goes on duty at `now`, its activity age's origin.
+        A node placed PROBING gets no reply timeout: it sends no probe, and
+        listens until an overheard reply sends it to sleep, its budget runs
+        out or it is moved again."""
         self.charge(node, now)
         if new is _DEAD and node.state is _DEAD:
             return
@@ -306,31 +313,38 @@ class World:
         self._sync_state(node, prev, now)
 
     def _sync_state(self, node: SensorNode, prev: NodeState, now: float) -> None:
-        """Engine-side consequences of a state transition. The move voids the
-        node's pending wake or reply timeout: timer events carry the token
-        they were armed with, and only the current one fires."""
+        """Engine-side consequences of a state transition, and the one writer
+        of the state counts and the guard set. The move voids the node's
+        pending wake or reply timeout: timer events carry the token they were
+        armed with, and only the current one fires."""
         node.timer_token += 1
         state = node.state
+        counts = self._counts
+        counts[prev] -= 1
+        counts[state] += 1
         if state is _PROBING:
             self._radio_on.add(node.id)
         elif state is _ACTIVE:
             self._enter_active(node, now)
+            self._guards.add(node.id)
         else:  # SLEEPING or DEAD
-            self._radio_on.discard(node.id)
-            if prev is _ACTIVE and self._conflicts:
-                nid = node.id
-                self._conflicts = {
-                    pair: t for pair, t in self._conflicts.items() if nid not in pair
-                }
+            nid = node.id
+            self._radio_on.discard(nid)
+            if prev is _ACTIVE:
+                self._guards.discard(nid)
+                if self._conflicts:
+                    self._conflicts = {
+                        pair: t for pair, t in self._conflicts.items() if nid not in pair
+                    }
             if state is _SLEEPING:
                 self.push(node.wake_deadline, _WAKE, (node.id, node.timer_token))
 
     def _enter_active(self, node: SensorNode, now: float) -> None:
         redundant = False
         delta = self.config.delta
-        for other in self.nodes:
-            if other.state is not _ACTIVE or other is node:
-                continue
+        nodes = self.nodes
+        for gid in sorted(self._guards):  # the other guards: node joins after
+            other = nodes[gid]
             d = math.hypot(node.x - other.x, node.y - other.y)
             if d <= delta:
                 redundant = True
@@ -404,7 +418,7 @@ class World:
 
     @property
     def active_ids(self) -> set[int]:
-        return {n.id for n in self.nodes if n.state is _ACTIVE}
+        return set(self._guards)
 
 
 def deploy(
@@ -457,6 +471,7 @@ def deploy(
             wake_deadline=sleep,
         )
         world.nodes.append(node)
+    world._counts[_SLEEPING] = n
 
     # Sweep line: walk each node's successors in x order and stop at the first
     # whose x gap alone exceeds r_comm. Along that order dx * dx only grows, so
@@ -559,32 +574,41 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
     if node.state is _DEAD:
         return
     world.set_state(node, _DEAD, now)
+    nodes = world.nodes
     covered = any(
-        math.hypot(node.x - other.x, node.y - other.y) <= world.config.delta
-        for other in world.nodes
-        if other.state is _ACTIVE
+        math.hypot(node.x - nodes[gid].x, node.y - nodes[gid].y) <= world.config.delta
+        for gid in world._guards
     )
     hole = RecoveryEvent(node.id, now, node.position, now if covered else None)
     world.result.recoveries.append(hole)
 
 
 def _record_sample(world: World, now: float) -> None:
-    counts = [0] * len(NodeState)
-    charge = world.charge
-    guards: list[int] = []
-    append = guards.append
+    # Each node is charged to `now` with World.charge's float steps, inline: a
+    # call per node was most of the sample's cost. The state counts and the
+    # guard set are _sync_state's, read after the loop, so a depletion here
+    # (which changes only this node's state) is counted.
+    power = world._power
+    budget = world.config.initial_energy
     # summed left to right from the int 0, as sum() does on 3.11
     total = 0
     for node in world.nodes:
-        charge(node, now)  # a depletion here changes only this node's state
+        dt = now - node.last_charge_time
+        if dt > 0.0:
+            node.last_charge_time = now
+            p = power[node.state]
+            if p > 0.0:
+                amount = p * dt
+                if amount < budget - node.spent_total:
+                    node.spent_state += amount
+                    node.spent_total += amount
+                else:
+                    world._deplete(node, "spent_state", now)
         total += node.spent_total
-        state = node.state
-        counts[state] += 1
-        if state is _ACTIVE:
-            append(node.id)
+    counts = world._counts
     # Coverage depends only on which nodes are on duty, and that set rarely
     # changes between samples, so it is recomputed only when the set moves.
-    ids = tuple(guards)
+    ids = tuple(sorted(world._guards))
     if ids != world._sampled_ids:
         actives = [(world.nodes[i].x, world.nodes[i].y) for i in ids]
         world._sampled_coverage = coverage_fraction(actives, world.config.r_sense, world._grid)

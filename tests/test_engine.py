@@ -659,7 +659,9 @@ def test_a_probe_that_spends_the_senders_budget_voids_its_reply_timeout(monkeypa
     run(world)
     assert world.probes_sent == 1
     assert world.nodes[0].state is NodeState.DEAD
-    assert charged_at == [0.0, 1.0, 10.0]  # the samples and the wake
+    # only the wake: nothing charges at the 2 s timeout (the sampler charges
+    # inline, not through World.charge)
+    assert charged_at == [1.0]
 
 
 def test_a_node_whose_budget_runs_out_asleep_dies_at_its_wake_without_probing():

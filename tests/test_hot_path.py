@@ -9,6 +9,10 @@ members their modules bind once (`_ACTIVE`, `_WAKE`, ...).
 Every event and every metrics sample reads `World` and `SensorNode`
 attributes, and every delivery a `Frame`'s; a slot is cheaper to reach than
 an instance dict entry, so none of the three has a `__dict__`.
+
+The sampler visits every node at every sample, so its node loop makes no
+call but the rare `_deplete`: the charge is inlined, and the state counts and
+the guard set are the engine's.
 """
 
 import ast
@@ -82,6 +86,40 @@ def test_the_check_sees_enum_reads():
         "line 2: EventKind.WAKE",
     ]
     assert _enum_reads(ast.parse("x = _ACTIVE\ny = node.state.name\n")) == []
+
+
+def _calls_in_node_loops(tree: ast.AST) -> list[str]:
+    """Every call inside a `for ... in world.nodes` loop, but `_deplete`."""
+    calls = []
+    for loop in ast.walk(tree):
+        if not (isinstance(loop, ast.For) and ast.unparse(loop.iter) == "world.nodes"):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if not (isinstance(func, ast.Attribute) and func.attr == "_deplete"):
+                    calls.append(f"line {node.lineno}: {ast.unparse(func)}")
+    return calls
+
+
+def test_the_sampler_node_loop_calls_only_deplete():
+    tree = _definition(engine, "_record_sample")
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.For)]
+    assert [ast.unparse(loop.iter) for loop in loops] == ["world.nodes"]
+    assert _calls_in_node_loops(tree) == []
+
+
+def test_the_check_sees_calls_in_node_loops():
+    source = (
+        "def f(world, now):\n"
+        "    for node in world.nodes:\n"
+        "        world.charge(node, now)\n"
+        "        if node.spent_total > 1.0:\n"
+        "            world._deplete(node, 'spent_state', now)\n"
+        "    for node in others:\n"
+        "        print(node)\n"
+    )
+    assert _calls_in_node_loops(ast.parse(source)) == ["line 3: world.charge"]
 
 
 def _slotted_objects():

@@ -1,11 +1,13 @@
-"""Post-run engine invariants over small random configs, both policies."""
+"""Post-run engine invariants over small random configs, both policies, and
+the metrics sampler against the per-node reference it replaced."""
 
 import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentinelsim.analysis import metrics_to_csv, overhead_report
+from sentinelsim import engine
+from sentinelsim.analysis import MetricsRecord, coverage_fraction, metrics_to_csv, overhead_report
 from sentinelsim.engine import PROTOCOLS, SimConfig, deploy, run, simulate
 from sentinelsim.protocol import NodeState
 
@@ -46,6 +48,11 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
         return {node.id for node in world.nodes if node.state in states}
 
     assert world._radio_on == ids(NodeState.PROBING, NodeState.ACTIVE)
+    recount = [0] * len(NodeState)
+    for node in world.nodes:
+        recount[node.state] += 1
+    assert world._counts == recount
+    assert world._guards == ids(NodeState.ACTIVE)
     assert world.clock == cfg.duration
     for node in world.nodes:
         parts = node.spent_state + node.spent_tx + node.spent_rx
@@ -80,3 +87,68 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
     replay = simulate(cfg)
     assert metrics_to_csv(replay.rows) == metrics_to_csv(rows)
     assert replay.recoveries == result.recoveries
+
+
+def reference_sample(world, now):
+    """The oracle: the sampler with a World.charge per node, and the states
+    counted and the guards collected in its loop."""
+    counts = [0] * len(NodeState)
+    guards = []
+    total = 0
+    for node in world.nodes:
+        world.charge(node, now)
+        total += node.spent_total
+        counts[node.state] += 1
+        if node.state is NodeState.ACTIVE:
+            guards.append(node.id)
+    ids = tuple(guards)
+    if ids != world._sampled_ids:
+        actives = [(world.nodes[i].x, world.nodes[i].y) for i in ids]
+        world._sampled_coverage = coverage_fraction(actives, world.config.r_sense, world._grid)
+        world._sampled_ids = ids
+    world.result.rows.append(
+        MetricsRecord(
+            time=now,
+            active_count=counts[NodeState.ACTIVE],
+            sleeping_count=counts[NodeState.SLEEPING],
+            probing_count=counts[NodeState.PROBING],
+            dead_count=counts[NodeState.DEAD],
+            total_energy_consumed=total,
+            coverage_fraction=world._sampled_coverage,
+            probes_sent=world.probes_sent,
+            probes_received=world.probes_received,
+            replies_sent=world.replies_sent,
+            replies_received=world.replies_received,
+            collisions=world.collisions,
+            withdrawals=world.withdrawals,
+        )
+    )
+    oldest = max((now - t for t in world._conflicts.values()), default=0.0)
+    world.result.conflict_ages.append((now, oldest))
+
+
+def outputs(cfg):
+    """A run's metrics CSV, energy ledgers and logs, each as exact text."""
+    world = deploy(cfg)
+    result = run(world)
+    ledger = [(n.spent_state, n.spent_tx, n.spent_rx, n.spent_total) for n in world.nodes]
+    logs = (
+        result.activations,
+        result.conflict_ages,
+        sorted(result.false_activation_ids),
+        result.recoveries,
+    )
+    return metrics_to_csv(result.rows), repr(ledger), repr(logs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs())
+def test_sampler_matches_the_per_node_reference(cfg):
+    fast = outputs(cfg)
+    sampler = engine._record_sample
+    engine._record_sample = reference_sample
+    try:
+        slow = outputs(cfg)
+    finally:
+        engine._record_sample = sampler
+    assert fast == slow
