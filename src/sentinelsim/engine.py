@@ -200,11 +200,11 @@ class World:
 
     # Every event reads these; a slot is cheaper to reach than a dict entry.
     __slots__ = (
-        "config", "policy", "clock", "rng", "nodes", "neighbor_sets", "result",
+        "config", "policy", "clock", "rng", "nodes", "neighbor_masks", "result",
         "probes_sent", "probes_received", "replies_sent", "replies_received",
         "collisions", "withdrawals", "_heap", "_seq", "_inflight", "_radio_on",
-        "_conflicts", "_grid", "_sampled_ids", "_sampled_coverage", "_power",
-        "_counts", "_guards", "_finished",
+        "_radio_mask", "_conflicts", "_grid", "_sampled_ids", "_sampled_coverage",
+        "_power", "_counts", "_guards", "_finished",
     )
 
     def __init__(self, config: SimConfig):
@@ -215,7 +215,8 @@ class World:
         self.clock = 0.0
         self.rng = random.Random(config.seed)
         self.nodes: list[SensorNode] = []
-        self.neighbor_sets: list[frozenset[int]] = []
+        # bit j of neighbor_masks[i] is set when node j is within r_comm of i
+        self.neighbor_masks: list[int] = []
         # the run log, filled in place as the run goes; run returns it
         self.result = RunResult(config=config, rows=[])
         # cumulative control-traffic counters
@@ -228,7 +229,10 @@ class World:
         self._heap: list[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
         self._inflight: dict[int, list[Frame]] = {}
+        # the PROBING and ACTIVE ids, as a set and as a mask with those bits set;
+        # both written only in _sync_state
         self._radio_on: set[int] = set()
+        self._radio_mask = 0
         # nodes per state (indexed by NodeState) and the ACTIVE ids; written
         # only in _sync_state, so the sampler reads them instead of counting
         self._counts = [0] * len(NodeState)
@@ -314,9 +318,9 @@ class World:
 
     def _sync_state(self, node: SensorNode, prev: NodeState, now: float) -> None:
         """Engine-side consequences of a state transition, and the one writer
-        of the state counts and the guard set. The move voids the node's
-        pending wake or reply timeout: timer events carry the token they were
-        armed with, and only the current one fires."""
+        of the state counts, the guard set and the radio set and mask. The
+        move voids the node's pending wake or reply timeout: timer events
+        carry the token they were armed with, and only the current one fires."""
         node.timer_token += 1
         state = node.state
         counts = self._counts
@@ -324,12 +328,15 @@ class World:
         counts[state] += 1
         if state is _PROBING:
             self._radio_on.add(node.id)
+            self._radio_mask ^= 1 << node.id  # only a sleeper starts probing
         elif state is _ACTIVE:
             self._enter_active(node, now)
             self._guards.add(node.id)
         else:  # SLEEPING or DEAD
             nid = node.id
             self._radio_on.discard(nid)
+            if prev is not _SLEEPING:  # a sleeper dying had its radio off
+                self._radio_mask ^= 1 << nid
             if prev is _ACTIVE:
                 self._guards.discard(nid)
                 if self._conflicts:
@@ -375,7 +382,13 @@ class World:
             raise SimError(f"node {sender.id} cannot transmit in state {sender.state.name}")
         cfg = self.config
         end = start + cfg.airtime
-        receivers = sorted(self._radio_on & self.neighbor_sets[sender.id])
+        # the set bits of the in-range radios, lowest first
+        receivers = []
+        m = self._radio_mask & self.neighbor_masks[sender.id]
+        while m:
+            low = m & -m
+            receivers.append(low.bit_length() - 1)
+            m ^= low
         frame = Frame(msg, start, end, receivers)
         random = self.rng.random
         loss = cfg.loss_probability
@@ -476,12 +489,14 @@ def deploy(
     # Sweep line: walk each node's successors in x order and stop at the first
     # whose x gap alone exceeds r_comm. Along that order dx * dx only grows, so
     # no later node can pass the distance test, which is the same float test
-    # for every pair that reaches it.
+    # for every pair that reaches it. A node's neighbours are the set bits of
+    # one int, n bits wide, where a frozenset would take a hash slot each.
     r2 = config.r_comm * config.r_comm
     swept = sorted((node.x, node.y, node.id) for node in world.nodes)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
+    bits = [1 << j for j in range(n)]
+    adjacency = [0] * n
     for a, (xi, yi, i) in enumerate(swept):
-        near = adjacency[i]
+        near = 0
         for x, y, j in swept[a + 1:]:
             dx = x - xi
             dx2 = dx * dx
@@ -489,9 +504,10 @@ def deploy(
                 break
             dy = y - yi
             if dx2 + dy * dy <= r2:
-                near.add(j)
-                adjacency[j].add(i)
-    world.neighbor_sets = [frozenset(s) for s in adjacency]
+                near |= bits[j]
+                adjacency[j] |= bits[i]
+        adjacency[i] |= near
+    world.neighbor_masks = adjacency
 
     for node in world.nodes:
         world.push(node.wake_deadline, EventKind.WAKE, (node.id, node.timer_token))
@@ -643,9 +659,13 @@ def run(world: World, duration: None = None) -> RunResult:
         raise SimError("world has already been run")
     cfg = world.config
     duration = cfg.duration
+    interval = cfg.metrics_interval
+    # Sample k is at k * interval, not a sum of k intervals, whose float error
+    # could put a sample a hair before the end and write that row twice. One
+    # within a billionth of an interval of the end is left to the closing one.
     world.push(duration, _END)
-    if duration > 0.0:
-        world.push(0.0, _SAMPLE)
+    if duration > 1e-9 * interval:
+        world.push(0.0, _SAMPLE, 0)
 
     heap = world._heap
     nodes = world.nodes
@@ -668,17 +688,15 @@ def run(world: World, duration: None = None) -> RunResult:
                 _probe_step(world, node, now, handler)
         elif kind is _SAMPLE:
             _record_sample(world, now)
-            nxt = now + cfg.metrics_interval
-            if nxt < duration:
-                world.push(nxt, _SAMPLE)
+            k = payload + 1
+            if duration - k * interval > 1e-9 * interval:
+                world.push(k * interval, _SAMPLE, k)
         elif kind is _FAILURE:
             _handle_failure(world, payload, now)
         elif kind is _END:
             break
 
-    rows = world.result.rows
-    if not rows or rows[-1].time != duration:
-        _record_sample(world, duration)
+    _record_sample(world, duration)  # every sample above lies before the end
     world._finished = True
     return world.result
 

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import sys
+import tracemalloc
 import typing
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sentinelsim.protocol as protocol_mod
-from sentinelsim.analysis import CoverageGrid, coverage_fraction
+from sentinelsim.analysis import CoverageGrid, coverage_fraction, metrics_to_csv
 from sentinelsim.engine import (
     EventKind,
     SimConfig,
@@ -202,19 +204,24 @@ def test_deploy_accepts_overrides_on_the_bounds():
 # -- neighbour sets --------------------------------------------------------------
 
 
-def brute_force_neighbors(world) -> list[frozenset[int]]:
-    """The oracle: every pair of nodes, with deploy's float distance test."""
+def brute_force_neighbors(world) -> list[int]:
+    """The oracle: every pair of nodes, with deploy's float distance test, as
+    masks with bit j set for each neighbour j."""
     nodes = world.nodes
     r2 = world.config.r_comm * world.config.r_comm
-    adjacency = [set() for _ in nodes]
+    adjacency = [0] * len(nodes)
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
             dx = a.x - nodes[j].x
             dy = a.y - nodes[j].y
             if dx * dx + dy * dy <= r2:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    return [frozenset(s) for s in adjacency]
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    return adjacency
+
+
+def masks(sets) -> list[int]:
+    return [sum(1 << j for j in s) for s in sets]
 
 
 def placed(positions, **kw) -> World:
@@ -227,7 +234,7 @@ def placed(positions, **kw) -> World:
 @pytest.mark.parametrize("n,seed", [(100, 11), (200, 12), (400, 13)])
 def test_neighbor_sets_match_the_brute_force_oracle(n, seed):
     world = deploy(SimConfig(n_nodes=n, seed=seed))
-    assert world.neighbor_sets == brute_force_neighbors(world)
+    assert world.neighbor_masks == brute_force_neighbors(world)
 
 
 # coarse coordinates make equal x, coincident nodes and exact-range pairs common
@@ -241,7 +248,7 @@ coordinates = st.one_of(st.floats(0.0, 60.0), st.integers(0, 12).map(lambda k: k
 )
 def test_neighbor_sets_match_the_oracle_on_any_field(positions, r_comm):
     world = placed(positions, r_comm=r_comm, field_width=60.0, field_height=60.0)
-    assert world.neighbor_sets == brute_force_neighbors(world)
+    assert world.neighbor_masks == brute_force_neighbors(world)
 
 
 @pytest.mark.parametrize(
@@ -257,9 +264,9 @@ def test_neighbor_sets_match_the_oracle_on_any_field(positions, r_comm):
 )
 def test_nodes_exactly_r_comm_apart_are_neighbors(far, linked):
     world = placed([(5.0, 5.0), (5.0 + far[0], 5.0 + far[1]), (45.0, 45.0)])
-    pair = [frozenset({1}), frozenset({0})] if linked else [frozenset(), frozenset()]
-    assert world.neighbor_sets == [*pair, frozenset()]
-    assert world.neighbor_sets == brute_force_neighbors(world)
+    pair = [{1}, {0}] if linked else [set(), set()]
+    assert world.neighbor_masks == masks([*pair, set()])
+    assert world.neighbor_masks == brute_force_neighbors(world)
 
 
 @pytest.mark.parametrize(
@@ -276,8 +283,21 @@ def test_nodes_exactly_r_comm_apart_are_neighbors(far, linked):
 )
 def test_neighbor_sets_of_degenerate_fields(positions, r_comm, expected):
     world = placed(positions, r_comm=r_comm)
-    assert world.neighbor_sets == [frozenset(s) for s in expected]
-    assert world.neighbor_sets == brute_force_neighbors(world)
+    assert world.neighbor_masks == masks(expected)
+    assert world.neighbor_masks == brute_force_neighbors(world)
+
+
+def test_neighbour_masks_stay_small_in_a_400_node_deploy():
+    """n bits per node: frozensets of the same neighbours took 2.5 MiB, and
+    deploy peaked at 5.7 MiB while it built them from plain sets."""
+    tracemalloc.start()
+    try:
+        world = deploy(SimConfig(n_nodes=400, seed=11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sum(sys.getsizeof(m) for m in world.neighbor_masks) < 64 << 10
 
 
 def test_deployments_are_seed_deterministic():
@@ -716,6 +736,19 @@ def test_state_counts_sum_to_population_every_sample():
 def test_metrics_are_sampled_on_the_configured_grid():
     result = simulate(SimConfig(n_nodes=5, duration=100.0, seed=2, metrics_interval=25.0))
     assert [row.time for row in result.rows] == [0.0, 25.0, 50.0, 75.0, 100.0]
+
+
+@pytest.mark.parametrize("interval,duration", [(0.1, 1.0), (0.3, 6.0), (0.03, 0.33)])
+def test_sample_times_do_not_drift_into_a_duplicate_final_row(interval, duration):
+    result = simulate(
+        SimConfig(n_nodes=5, duration=duration, seed=2, metrics_interval=interval)
+    )
+    times = [row.time for row in result.rows]
+    assert len(times) == round(duration / interval) + 1
+    assert times[:-1] == [k * interval for k in range(len(times) - 1)]
+    assert times[-1] == duration
+    csv_times = [line.split(",")[0] for line in metrics_to_csv(result.rows).splitlines()[1:]]
+    assert len(set(csv_times)) == len(csv_times)
 
 
 def test_runs_are_deterministic():

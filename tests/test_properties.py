@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sentinelsim import engine
 from sentinelsim.analysis import MetricsRecord, coverage_fraction, metrics_to_csv, overhead_report
-from sentinelsim.engine import PROTOCOLS, SimConfig, deploy, run, simulate
+from sentinelsim.engine import PROTOCOLS, SimConfig, World, deploy, run, simulate
 from sentinelsim.protocol import NodeState
 
 LEDGER_TOLERANCE = 1e-9
@@ -48,6 +48,7 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
         return {node.id for node in world.nodes if node.state in states}
 
     assert world._radio_on == ids(NodeState.PROBING, NodeState.ACTIVE)
+    assert world._radio_mask == sum(1 << i for i in world._radio_on)
     recount = [0] * len(NodeState)
     for node in world.nodes:
         recount[node.state] += 1
@@ -87,6 +88,42 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
     replay = simulate(cfg)
     assert metrics_to_csv(replay.rows) == metrics_to_csv(rows)
     assert replay.recoveries == result.recoveries
+
+
+def neighbour_sets(world):
+    """The oracle's adjacency: deploy's float distance test on every pair."""
+    r2 = world.config.r_comm * world.config.r_comm
+    sets = [set() for _ in world.nodes]
+    for a in world.nodes:
+        for b in world.nodes[a.id + 1:]:
+            dx = a.x - b.x
+            dy = a.y - b.y
+            if dx * dx + dy * dy <= r2:
+                sets[a.id].add(b.id)
+                sets[b.id].add(a.id)
+    return sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs())
+def test_broadcast_receivers_match_the_radio_set_oracle(cfg):
+    """Every frame goes to the in-range nodes whose radio was on when it was
+    sent, in id order: the set intersection the radio mask replaced."""
+    world = deploy(cfg)
+    neighbours = neighbour_sets(world)
+    broadcast = World.broadcast
+
+    def checked(self, sender, msg, start):
+        radio_on_before = set(self._radio_on)
+        frame = broadcast(self, sender, msg, start)
+        assert frame.receivers == sorted(radio_on_before & neighbours[sender.id])
+        return frame
+
+    World.broadcast = checked
+    try:
+        run(world)
+    finally:
+        World.broadcast = broadcast
 
 
 def reference_sample(world, now):
