@@ -18,7 +18,8 @@ from enum import IntEnum
 from heapq import heappop, heappush
 
 from . import peas, protocol
-from .analysis import CoverageGrid, MetricsRecord, RecoveryEvent, RunResult, coverage_fraction
+from .analysis import (CoverageGrid, MetricsRecord, RecoveryEvent, RunResult,
+                       coverage_fraction, format_csv_value)
 from .protocol import NodeState, ProbeRequest, SensorNode, change_state
 
 # Each policy module supplies wake_rate and the reply and withdrawal handlers;
@@ -202,9 +203,9 @@ class World:
     __slots__ = (
         "config", "policy", "clock", "rng", "nodes", "neighbor_masks", "result",
         "probes_sent", "probes_received", "replies_sent", "replies_received",
-        "collisions", "withdrawals", "_heap", "_seq", "_inflight", "_radio_on",
-        "_radio_mask", "_conflicts", "_grid", "_sampled_ids", "_sampled_coverage",
-        "_power", "_counts", "_guards", "_finished",
+        "collisions", "withdrawals", "_heap", "_seq", "_inflight", "_radio_mask",
+        "_guard_mask", "_dead", "_conflicts", "_grid", "_sampled_guards",
+        "_sampled_coverage", "_power", "_finished",
     )
 
     def __init__(self, config: SimConfig):
@@ -229,20 +230,17 @@ class World:
         self._heap: list[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
         self._inflight: dict[int, list[Frame]] = {}
-        # the PROBING and ACTIVE ids, as a set and as a mask with those bits set;
-        # both written only in _sync_state
-        self._radio_on: set[int] = set()
+        # masks of the radio-on (PROBING, ACTIVE) and guard (ACTIVE) ids, and the
+        # dead count; only _sync_state writes them, so the sampler need not count
         self._radio_mask = 0
-        # nodes per state (indexed by NodeState) and the ACTIVE ids; written
-        # only in _sync_state, so the sampler reads them instead of counting
-        self._counts = [0] * len(NodeState)
-        self._guards: set[int] = set()
+        self._guard_mask = 0
+        self._dead = 0
         self._conflicts: dict[tuple[int, int], float] = {}
         self._grid = CoverageGrid(
             config.field_width, config.field_height, config.coverage_resolution
         )
-        # active ids of the last coverage computation, and its result
-        self._sampled_ids: tuple[int, ...] | None = None
+        # guard mask of the last coverage computation, and its result
+        self._sampled_guards: int | None = None
         self._sampled_coverage = 0.0
         self._power = {
             NodeState.SLEEPING: config.p_sleep,
@@ -318,27 +316,24 @@ class World:
 
     def _sync_state(self, node: SensorNode, prev: NodeState, now: float) -> None:
         """Engine-side consequences of a state transition, and the one writer
-        of the state counts, the guard set and the radio set and mask. The
-        move voids the node's pending wake or reply timeout: timer events
-        carry the token they were armed with, and only the current one fires."""
+        of the radio and guard masks and the dead count. The move voids the
+        node's pending wake or reply timeout: timer events carry the token
+        they were armed with, and only the current one fires."""
         node.timer_token += 1
         state = node.state
-        counts = self._counts
-        counts[prev] -= 1
-        counts[state] += 1
         if state is _PROBING:
-            self._radio_on.add(node.id)
             self._radio_mask ^= 1 << node.id  # only a sleeper starts probing
-        elif state is _ACTIVE:
+        elif state is _ACTIVE:  # only a prober goes on duty: its radio is on
             self._enter_active(node, now)
-            self._guards.add(node.id)
+            self._guard_mask ^= 1 << node.id
         else:  # SLEEPING or DEAD
             nid = node.id
-            self._radio_on.discard(nid)
             if prev is not _SLEEPING:  # a sleeper dying had its radio off
                 self._radio_mask ^= 1 << nid
+            if state is _DEAD:
+                self._dead += 1
             if prev is _ACTIVE:
-                self._guards.discard(nid)
+                self._guard_mask ^= 1 << nid
                 if self._conflicts:
                     self._conflicts = {
                         pair: t for pair, t in self._conflicts.items() if nid not in pair
@@ -350,7 +345,7 @@ class World:
         redundant = False
         delta = self.config.delta
         nodes = self.nodes
-        for gid in sorted(self._guards):  # the other guards: node joins after
+        for gid in _ids(self._guard_mask):  # the other guards: node joins after
             other = nodes[gid]
             d = math.hypot(node.x - other.x, node.y - other.y)
             if d <= delta:
@@ -378,17 +373,11 @@ class World:
         audible at that receiver, all overlapping frames die there and the
         collision counter ticks once per overlap event.
         """
-        if sender.id not in self._radio_on:
+        if not self._radio_mask >> sender.id & 1:
             raise SimError(f"node {sender.id} cannot transmit in state {sender.state.name}")
         cfg = self.config
         end = start + cfg.airtime
-        # the set bits of the in-range radios, lowest first
-        receivers = []
-        m = self._radio_mask & self.neighbor_masks[sender.id]
-        while m:
-            low = m & -m
-            receivers.append(low.bit_length() - 1)
-            m ^= low
+        receivers = _ids(self._radio_mask & self.neighbor_masks[sender.id])
         frame = Frame(msg, start, end, receivers)
         random = self.rng.random
         loss = cfg.loss_probability
@@ -431,7 +420,17 @@ class World:
 
     @property
     def active_ids(self) -> set[int]:
-        return set(self._guards)
+        return set(_ids(self._guard_mask))
+
+
+def _ids(mask: int) -> list[int]:
+    """The set bits of a node mask, lowest first: the ids it holds."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def deploy(
@@ -484,7 +483,6 @@ def deploy(
             wake_deadline=sleep,
         )
         world.nodes.append(node)
-    world._counts[_SLEEPING] = n
 
     # Sweep line: walk each node's successors in x order and stop at the first
     # whose x gap alone exceeds r_comm. Along that order dx * dx only grows, so
@@ -540,7 +538,6 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
     budget = cfg.initial_energy
     jitter = cfg.reply_jitter
     dropped = frame.dropped
-    radio_on = world._radio_on
     nodes = world.nodes
     charge = world.charge
     random = world.rng.random
@@ -548,12 +545,12 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
     msg = frame.msg
     is_request = isinstance(msg, ProbeRequest)
     for rid in frame.receivers:
-        if rid in dropped or rid not in radio_on:
-            continue  # lost, or slept or died while the frame was in the air
         node = nodes[rid]
+        if rid in dropped or node.state is _SLEEPING or node.state is _DEAD:
+            continue  # lost, or slept or died while the frame was in the air
         charge(node, now)
-        if rid not in radio_on:
-            continue
+        if node.state is _DEAD:
+            continue  # the charge spent its budget: a charge can only kill
         if e_rx < budget - node.spent_total:
             node.spent_rx += e_rx
             node.spent_total += e_rx
@@ -593,7 +590,7 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
     nodes = world.nodes
     covered = any(
         math.hypot(node.x - nodes[gid].x, node.y - nodes[gid].y) <= world.config.delta
-        for gid in world._guards
+        for gid in _ids(world._guard_mask)
     )
     hole = RecoveryEvent(node.id, now, node.position, now if covered else None)
     world.result.recoveries.append(hole)
@@ -601,8 +598,8 @@ def _handle_failure(world: World, node_id: int, now: float) -> None:
 
 def _record_sample(world: World, now: float) -> None:
     # Each node is charged to `now` with World.charge's float steps, inline: a
-    # call per node was most of the sample's cost. The state counts and the
-    # guard set are _sync_state's, read after the loop, so a depletion here
+    # call per node was most of the sample's cost. The masks and the dead
+    # count are _sync_state's, read after the loop, so a depletion here
     # (which changes only this node's state) is counted.
     power = world._power
     budget = world.config.initial_energy
@@ -621,21 +618,22 @@ def _record_sample(world: World, now: float) -> None:
                 else:
                     world._deplete(node, "spent_state", now)
         total += node.spent_total
-    counts = world._counts
+    guards = world._guard_mask
+    active = guards.bit_count()
+    probing = world._radio_mask.bit_count() - active
     # Coverage depends only on which nodes are on duty, and that set rarely
     # changes between samples, so it is recomputed only when the set moves.
-    ids = tuple(sorted(world._guards))
-    if ids != world._sampled_ids:
-        actives = [(world.nodes[i].x, world.nodes[i].y) for i in ids]
+    if guards != world._sampled_guards:
+        actives = [(world.nodes[i].x, world.nodes[i].y) for i in _ids(guards)]
         world._sampled_coverage = coverage_fraction(actives, world.config.r_sense, world._grid)
-        world._sampled_ids = ids
+        world._sampled_guards = guards
     world.result.rows.append(
         MetricsRecord(
             time=now,
-            active_count=counts[_ACTIVE],
-            sleeping_count=counts[_SLEEPING],
-            probing_count=counts[_PROBING],
-            dead_count=counts[_DEAD],
+            active_count=active,
+            sleeping_count=len(world.nodes) - active - probing - world._dead,
+            probing_count=probing,
+            dead_count=world._dead,
             total_energy_consumed=total,
             coverage_fraction=world._sampled_coverage,
             probes_sent=world.probes_sent,
@@ -661,10 +659,11 @@ def run(world: World, duration: None = None) -> RunResult:
     duration = cfg.duration
     interval = cfg.metrics_interval
     # Sample k is at k * interval, not a sum of k intervals, whose float error
-    # could put a sample a hair before the end and write that row twice. One
-    # within a billionth of an interval of the end is left to the closing one.
+    # could put one a hair before the end. A sample within a billionth of an
+    # interval of the end, or printed at its CSV time, is left to the closing one.
+    end = format_csv_value(duration)
     world.push(duration, _END)
-    if duration > 1e-9 * interval:
+    if duration > 1e-9 * interval and format_csv_value(0.0) != end:
         world.push(0.0, _SAMPLE, 0)
 
     heap = world._heap
@@ -689,8 +688,9 @@ def run(world: World, duration: None = None) -> RunResult:
         elif kind is _SAMPLE:
             _record_sample(world, now)
             k = payload + 1
-            if duration - k * interval > 1e-9 * interval:
-                world.push(k * interval, _SAMPLE, k)
+            t = k * interval
+            if duration - t > 1e-9 * interval and format_csv_value(t) != end:
+                world.push(t, _SAMPLE, k)
         elif kind is _FAILURE:
             _handle_failure(world, payload, now)
         elif kind is _END:

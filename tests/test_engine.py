@@ -738,7 +738,11 @@ def test_metrics_are_sampled_on_the_configured_grid():
     assert [row.time for row in result.rows] == [0.0, 25.0, 50.0, 75.0, 100.0]
 
 
-@pytest.mark.parametrize("interval,duration", [(0.1, 1.0), (0.3, 6.0), (0.03, 0.33)])
+# the last two end within the CSV's 6 decimals of a sample time
+@pytest.mark.parametrize(
+    "interval,duration",
+    [(0.1, 1.0), (0.3, 6.0), (0.03, 0.33), (1.0, 10.0000004), (1.0, 1e-7)],
+)
 def test_sample_times_do_not_drift_into_a_duplicate_final_row(interval, duration):
     result = simulate(
         SimConfig(n_nodes=5, duration=duration, seed=2, metrics_interval=interval)
@@ -749,6 +753,13 @@ def test_sample_times_do_not_drift_into_a_duplicate_final_row(interval, duration
     assert times[-1] == duration
     csv_times = [line.split(",")[0] for line in metrics_to_csv(result.rows).splitlines()[1:]]
     assert len(set(csv_times)) == len(csv_times)
+
+
+def test_a_sample_that_prints_apart_from_the_end_keeps_its_row():
+    # the CSV prints 6 decimals, so 10.0 and 10.0000006 are two distinct rows
+    rows = simulate(SimConfig(n_nodes=0, duration=10.0000006, metrics_interval=1.0)).rows
+    csv_times = [line.split(",")[0] for line in metrics_to_csv(rows).splitlines()[1:]]
+    assert csv_times[-3:] == ["9.000000", "10.000000", "10.000001"]
 
 
 def test_runs_are_deterministic():

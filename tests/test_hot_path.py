@@ -11,12 +11,15 @@ attributes, and every delivery a `Frame`'s; a slot is cheaper to reach than
 an instance dict entry, so none of the three has a `__dict__`.
 
 The sampler visits every node at every sample, so its node loop makes no
-call but the rare `_deplete`: the charge is inlined, and the state counts and
-the guard set are the engine's.
+call but the rare `_deplete`: the charge is inlined, and the radio and guard
+masks and the dead count are the engine's. Those three are the engine's only
+copies of its nodes' states, so one method writes them all, besides the
+constructor that zeroes them.
 """
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,7 @@ PER_EVENT = [
     (engine, "World._sync_state"),
     (engine, "World._deplete"),
     (engine, "World._enter_active"),
+    (engine, "_ids"),
     *[(protocol, name) for name in (*HANDLERS, "go_to_sleep", "_adapt_and_sleep")],
     (peas, "on_probe_reply"),
     (peas, "on_withdrawal_check"),
@@ -120,6 +124,60 @@ def test_the_check_sees_calls_in_node_loops():
         "        print(node)\n"
     )
     assert _calls_in_node_loops(ast.parse(source)) == ["line 3: world.charge"]
+
+
+STATE_COPIES = {"_radio_mask", "_guard_mask", "_dead"}
+
+
+def _state_copy_writers(tree: ast.AST) -> list[str]:
+    """Each assignment to a STATE_COPIES attribute, as "enclosing scope: target"."""
+    writers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Attribute) and n.attr in STATE_COPIES:
+                            writers.append(f"{scope}: {ast.unparse(n)}")
+            visit(child, scope)
+
+    visit(tree, "")
+    return writers
+
+
+def test_only_the_state_sync_writes_the_masks_and_the_dead_count():
+    writers = {
+        f"{path.stem}.{w.split(':')[0]}"
+        for path in Path(engine.__file__).parent.glob("*.py")
+        for w in _state_copy_writers(ast.parse(path.read_text()))
+    }
+    assert sorted(writers) == ["engine.World.__init__", "engine.World._sync_state"]
+
+
+def test_the_check_sees_state_copy_writes():
+    source = (
+        "class World:\n"
+        "    def __init__(self):\n"
+        "        self._dead = 0\n"
+        "    def _sync_state(self, bit):\n"
+        "        self._radio_mask ^= bit\n"
+        "def deploy(world, n):\n"
+        "    world._guard_mask, world.clock = 0, 0.0\n"
+        "    world._dead: int = n\n"
+        "    world._deadline = 1.0\n"
+        "    print(world._dead)\n"
+    )
+    assert _state_copy_writers(ast.parse(source)) == [
+        "World.__init__: self._dead",
+        "World._sync_state: self._radio_mask",
+        "deploy: world._guard_mask",
+        "deploy: world._dead",
+    ]
 
 
 def _slotted_objects():

@@ -44,16 +44,12 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
     result = run(world)
     assert result is world.result
 
-    def ids(*states):
-        return {node.id for node in world.nodes if node.state in states}
+    def mask(*states):
+        return sum(1 << node.id for node in world.nodes if node.state in states)
 
-    assert world._radio_on == ids(NodeState.PROBING, NodeState.ACTIVE)
-    assert world._radio_mask == sum(1 << i for i in world._radio_on)
-    recount = [0] * len(NodeState)
-    for node in world.nodes:
-        recount[node.state] += 1
-    assert world._counts == recount
-    assert world._guards == ids(NodeState.ACTIVE)
+    assert world._radio_mask == mask(NodeState.PROBING, NodeState.ACTIVE)
+    assert world._guard_mask == mask(NodeState.ACTIVE)
+    assert world._dead == sum(node.state is NodeState.DEAD for node in world.nodes)
     assert world.clock == cfg.duration
     for node in world.nodes:
         parts = node.spent_state + node.spent_tx + node.spent_rx
@@ -114,7 +110,10 @@ def test_broadcast_receivers_match_the_radio_set_oracle(cfg):
     broadcast = World.broadcast
 
     def checked(self, sender, msg, start):
-        radio_on_before = set(self._radio_on)
+        radio_on_before = {
+            node.id for node in self.nodes
+            if node.state in (NodeState.PROBING, NodeState.ACTIVE)
+        }
         frame = broadcast(self, sender, msg, start)
         assert frame.receivers == sorted(radio_on_before & neighbours[sender.id])
         return frame
@@ -127,8 +126,9 @@ def test_broadcast_receivers_match_the_radio_set_oracle(cfg):
 
 
 def reference_sample(world, now):
-    """The oracle: the sampler with a World.charge per node, and the states
-    counted and the guards collected in its loop."""
+    """The oracle: the sampler with a World.charge per node, the states
+    counted and the guards collected in its loop, and coverage keyed by the
+    guards' mask."""
     counts = [0] * len(NodeState)
     guards = []
     total = 0
@@ -138,11 +138,11 @@ def reference_sample(world, now):
         counts[node.state] += 1
         if node.state is NodeState.ACTIVE:
             guards.append(node.id)
-    ids = tuple(guards)
-    if ids != world._sampled_ids:
-        actives = [(world.nodes[i].x, world.nodes[i].y) for i in ids]
+    key = sum(1 << i for i in guards)
+    if key != world._sampled_guards:
+        actives = [(world.nodes[i].x, world.nodes[i].y) for i in guards]
         world._sampled_coverage = coverage_fraction(actives, world.config.r_sense, world._grid)
-        world._sampled_ids = ids
+        world._sampled_guards = key
     world.result.rows.append(
         MetricsRecord(
             time=now,
