@@ -17,7 +17,7 @@ from typing import Sequence
 UNRECOVERED = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRecord:
     """One sampled row of the run time series.
 
@@ -275,11 +275,14 @@ def compare_runs(sentinel: RunResult, baseline: RunResult) -> float | None:
     return (base - sent) / base
 
 
-def format_csv_value(value: float | int) -> str:
-    """Fixed 6-decimal notation for floats, bare digits for ints."""
-    if isinstance(value, int):
-        return str(value)
+def format_csv_value(value: float) -> str:
+    """A float cell's CSV text: fixed 6-decimal notation, for an int value too."""
     return f"{value:.6f}"
+
+
+# Each column's format is its MetricsRecord annotation's, not its value's type:
+# a library caller may pass an int time, and a run without nodes sums to the int 0.
+_CSV_FORMATS = tuple(format_csv_value if f.type == "float" else str for f in fields(MetricsRecord))
 
 
 def metrics_to_csv(rows: Sequence[MetricsRecord]) -> str:
@@ -287,7 +290,7 @@ def metrics_to_csv(rows: Sequence[MetricsRecord]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(
-            ",".join(format_csv_value(getattr(row, col)) for col in CSV_COLUMNS)
+            ",".join(fmt(getattr(row, col)) for fmt, col in zip(_CSV_FORMATS, CSV_COLUMNS))
         )
     return "\n".join(lines) + "\n"
 

@@ -184,16 +184,22 @@ def _fits(value, kind) -> bool:
 
 
 class Frame:
-    """One transmission on the air: interval, audience, and per-receiver fate."""
+    """One transmission on the air: interval, audience, and per-receiver fate.
 
-    __slots__ = ("msg", "start", "end", "receivers", "dropped")
+    `live` and `dropped` are node masks: bit j of `live` is set while the
+    frame still counts as in flight at receiver j, bit j of `dropped` when j
+    loses the frame to channel loss or a collision.
+    """
 
-    def __init__(self, msg, start: float, end: float, receivers: list[int]):
+    __slots__ = ("msg", "start", "end", "receivers", "live", "dropped")
+
+    def __init__(self, msg, start: float, end: float, receivers: list[int], live: int):
         self.msg = msg
         self.start = start
         self.end = end
         self.receivers = receivers
-        self.dropped: set[int] = set()
+        self.live = live
+        self.dropped = 0
 
 
 class World:
@@ -203,7 +209,7 @@ class World:
     __slots__ = (
         "config", "policy", "clock", "rng", "nodes", "neighbor_masks", "result",
         "probes_sent", "probes_received", "replies_sent", "replies_received",
-        "collisions", "withdrawals", "_heap", "_seq", "_inflight", "_radio_mask",
+        "collisions", "withdrawals", "_heap", "_seq", "_onair", "_radio_mask",
         "_guard_mask", "_dead", "_conflicts", "_grid", "_sampled_guards",
         "_sampled_coverage", "_power", "_finished",
     )
@@ -229,7 +235,9 @@ class World:
         self.withdrawals = 0
         self._heap: list[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
-        self._inflight: dict[int, list[Frame]] = {}
+        # the frames that can still collide with a new one: ending after the
+        # clock, and in flight at one receiver at least (none without collisions)
+        self._onair: list[Frame] = []
         # masks of the radio-on (PROBING, ACTIVE) and guard (ACTIVE) ids, and the
         # dead count; only _sync_state writes them, so the sampler need not count
         self._radio_mask = 0
@@ -370,38 +378,53 @@ class World:
 
         Every other in-range node whose radio is on is a receiver; each draws
         an independent loss and, when the frame overlaps another transmission
-        audible at that receiver, all overlapping frames die there and the
-        collision counter ticks once per overlap event.
+        in flight at that receiver, all overlapping frames die there and the
+        collision counter ticks once per overlap event. A frame stops being
+        in flight at a receiver once a frame to it starts at or after its
+        end, and everywhere once the clock reaches its end, so no start may
+        lie before the clock.
         """
         if not self._radio_mask >> sender.id & 1:
             raise SimError(f"node {sender.id} cannot transmit in state {sender.state.name}")
+        if start < self.clock:
+            raise SimError(
+                f"frame of node {sender.id} at t={start} starts before clock {self.clock}"
+            )
         cfg = self.config
         end = start + cfg.airtime
-        receivers = _ids(self._radio_mask & self.neighbor_masks[sender.id])
-        frame = Frame(msg, start, end, receivers)
+        audience = self._radio_mask & self.neighbor_masks[sender.id]
+        receivers = _ids(audience)
+        frame = Frame(msg, start, end, receivers, audience)
         random = self.rng.random
         loss = cfg.loss_probability
-        collide = cfg.collisions
-        inflight = self._inflight
-        dropped = frame.dropped
-        for rid in receivers:
-            lost = random() < loss
-            live = [frame]
-            hit = False
-            # one walk of the receiver's frames: keep the ones still on the air
-            # at `start`, and mark those that overlap this frame
-            for f in inflight.get(rid, ()):
-                if f.end > start:
-                    live.append(f)
-                    if collide and f.start < end:
-                        f.dropped.add(rid)
-                        hit = True
-            inflight[rid] = live
-            if hit:
-                self.collisions += 1
-                dropped.add(rid)
-            if lost:
-                dropped.add(rid)
+        dropped = 0
+        for rid in receivers:  # one loss draw per receiver, in id order
+            if random() < loss:
+                dropped |= 1 << rid
+        if audience and cfg.collisions:
+            # one walk of the frames on the air: mark the ones that overlap
+            # this frame at a shared receiver, take this frame's receivers out
+            # of those that end by its start, and keep those still in flight
+            clock = self.clock
+            hits = 0
+            onair = [frame]
+            for f in self._onair:
+                f_end = f.end
+                if f_end <= clock:
+                    continue
+                if f_end > start:
+                    if f.start < end:
+                        hit = f.live & audience
+                        f.dropped |= hit
+                        hits |= hit
+                else:
+                    f.live &= ~audience
+                if f.live:
+                    onair.append(f)
+            self._onair = onair
+            self.collisions += hits.bit_count()
+            dropped |= hits
+        frame.dropped = dropped
         if isinstance(msg, ProbeRequest):
             self.probes_sent += 1
         else:
@@ -545,9 +568,9 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
     msg = frame.msg
     is_request = isinstance(msg, ProbeRequest)
     for rid in frame.receivers:
-        node = nodes[rid]
-        if rid in dropped or node.state is _SLEEPING or node.state is _DEAD:
+        if dropped >> rid & 1 or not world._radio_mask >> rid & 1:
             continue  # lost, or slept or died while the frame was in the air
+        node = nodes[rid]
         charge(node, now)
         if node.state is _DEAD:
             continue  # the charge spent its budget: a charge can only kill
@@ -697,6 +720,9 @@ def run(world: World, duration: None = None) -> RunResult:
             break
 
     _record_sample(world, duration)  # every sample above lies before the end
+    # a finished world cannot run again: free the events and frames it still holds
+    heap.clear()
+    world._onair = []
     world._finished = True
     return world.result
 

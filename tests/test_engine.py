@@ -1,6 +1,7 @@
 """Event kernel: deployment, radio semantics, energy ledger, failure injection."""
 
 import dataclasses
+import gc
 import math
 import random
 import sys
@@ -513,9 +514,9 @@ def test_first_valid_reply_wins_and_later_ones_find_radio_off(force_state):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="known gap: broadcast prunes a receiver's in-flight frames by the new "
-    "frame's start, so a reply scheduled later drops frames that an earlier "
-    "reply, put on the air after it, still overlaps",
+    reason="known gap: broadcast clears its receivers from the live mask of frames "
+    "that end by the new frame's start, so a reply scheduled later drops frames "
+    "that an earlier reply, put on the air after it, still overlaps",
 )
 def test_out_of_order_reply_starts_still_collide_at_the_prober(force_state):
     cfg = small_config(n_nodes=4, duration=10.0)
@@ -533,8 +534,24 @@ def test_out_of_order_reply_starts_still_collide_at_the_prober(force_state):
         guard.id: world.broadcast(guard, ProbeReply(guard.id, guard.position, 0.0), start)
         for guard, start in ((c, 1.001), (a, 1.004), (b, 1.0015))
     }
-    assert prober.id in frames[c.id].dropped
-    assert prober.id in frames[b.id].dropped
+    assert frames[c.id].dropped >> prober.id & 1
+    assert frames[b.id].dropped >> prober.id & 1
+
+
+def test_broadcast_before_the_clock_rejected(force_state):
+    # frames that ended by the clock are forgotten, so none may start before it
+    world = deploy(
+        small_config(n_nodes=2), positions=[(0.0, 0.0), (5.0, 0.0)], initial_sleeps=[1e9, 1e9]
+    )
+    a, b = world.nodes
+    force_state(world, a, NodeState.ACTIVE)
+    force_state(world, b, NodeState.PROBING)
+    world.clock = 5.0
+    state = world.rng.getstate()
+    with pytest.raises(SimError, match="before clock"):
+        world.broadcast(a, ProbeRequest(a.id), 4.999)
+    assert world.probes_sent == 0 and world.rng.getstate() == state
+    assert world.broadcast(a, ProbeRequest(a.id), 5.0).receivers == [b.id]
 
 
 def test_event_in_the_past_rejected():
@@ -549,6 +566,23 @@ def test_world_runs_only_once():
     run(world)
     with pytest.raises(SimError):
         run(world)
+
+
+def test_finished_world_holds_no_frame(monkeypatch):
+    frames = []
+    broadcast = World.broadcast
+
+    def kept(self, sender, msg, start):
+        frame = broadcast(self, sender, msg, start)
+        frames.append(frame)
+        return frame
+
+    monkeypatch.setattr(World, "broadcast", kept)
+    world = deploy(small_config(n_nodes=30, duration=200.0, seed=5))
+    run(world)
+    assert frames and world.collisions
+    # a finished world cannot run again, so it keeps neither its queue nor its radio
+    assert [r for f in frames for r in gc.get_referrers(f) if r is not frames] == []
 
 
 @pytest.mark.parametrize("duration", [5.0, 300.0, 100.0, math.nan, math.inf])
@@ -760,6 +794,14 @@ def test_a_sample_that_prints_apart_from_the_end_keeps_its_row():
     rows = simulate(SimConfig(n_nodes=0, duration=10.0000006, metrics_interval=1.0)).rows
     csv_times = [line.split(",")[0] for line in metrics_to_csv(rows).splitlines()[1:]]
     assert csv_times[-3:] == ["9.000000", "10.000000", "10.000001"]
+
+
+def test_csv_formats_each_column_by_its_annotation():
+    # int sample times, and the int-0 energy sum of a run without nodes, are floats
+    rows = simulate(SimConfig(n_nodes=0, duration=30, metrics_interval=10)).rows
+    cells = [line.split(",") for line in metrics_to_csv(rows).splitlines()[1:]]
+    assert [c[0] for c in cells] == ["0.000000", "10.000000", "20.000000", "30.000000"]
+    assert {c[5] for c in cells} == {"0.000000"}
 
 
 def test_runs_are_deterministic():

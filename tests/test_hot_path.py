@@ -8,23 +8,27 @@ members their modules bind once (`_ACTIVE`, `_WAKE`, ...).
 
 Every event and every metrics sample reads `World` and `SensorNode`
 attributes, and every delivery a `Frame`'s; a slot is cheaper to reach than
-an instance dict entry, so none of the three has a `__dict__`.
+an instance dict entry, so none of the three has a `__dict__`. A finished
+run keeps every `MetricsRecord` it sampled, so those take no dict either.
 
 The sampler visits every node at every sample, so its node loop makes no
 call but the rare `_deplete`: the charge is inlined, and the radio and guard
 masks and the dead count are the engine's. Those three are the engine's only
 copies of its nodes' states, so one method writes them all, besides the
-constructor that zeroes them.
+constructor that zeroes them. Likewise only the radio replaces its list of
+frames on the air, and only the run, which empties it when it ends.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import pytest
 
 from sentinelsim import engine, peas, protocol
-from sentinelsim.engine import Frame, SimConfig, deploy
+from sentinelsim.analysis import MetricsRecord
+from sentinelsim.engine import Frame, SimConfig, deploy, simulate
 from sentinelsim.protocol import ProbeRequest
 
 ENUMS = {"NodeState", "EventKind"}
@@ -129,8 +133,8 @@ def test_the_check_sees_calls_in_node_loops():
 STATE_COPIES = {"_radio_mask", "_guard_mask", "_dead"}
 
 
-def _state_copy_writers(tree: ast.AST) -> list[str]:
-    """Each assignment to a STATE_COPIES attribute, as "enclosing scope: target"."""
+def _writers(tree: ast.AST, names: set[str]) -> list[str]:
+    """Each assignment to an attribute in `names`, as "enclosing scope: target"."""
     writers = []
 
     def visit(node, scope):
@@ -142,7 +146,7 @@ def _state_copy_writers(tree: ast.AST) -> list[str]:
                 targets = child.targets if isinstance(child, ast.Assign) else [child.target]
                 for target in targets:
                     for n in ast.walk(target):
-                        if isinstance(n, ast.Attribute) and n.attr in STATE_COPIES:
+                        if isinstance(n, ast.Attribute) and n.attr in names:
                             writers.append(f"{scope}: {ast.unparse(n)}")
             visit(child, scope)
 
@@ -150,13 +154,23 @@ def _state_copy_writers(tree: ast.AST) -> list[str]:
     return writers
 
 
-def test_only_the_state_sync_writes_the_masks_and_the_dead_count():
-    writers = {
+def _package_writers(names: set[str]) -> list[str]:
+    """The scopes, as "module.scope", that assign an attribute in `names`."""
+    return sorted({
         f"{path.stem}.{w.split(':')[0]}"
         for path in Path(engine.__file__).parent.glob("*.py")
-        for w in _state_copy_writers(ast.parse(path.read_text()))
-    }
-    assert sorted(writers) == ["engine.World.__init__", "engine.World._sync_state"]
+        for w in _writers(ast.parse(path.read_text()), names)
+    })
+
+
+def test_only_the_state_sync_writes_the_masks_and_the_dead_count():
+    assert _package_writers(STATE_COPIES) == ["engine.World.__init__", "engine.World._sync_state"]
+
+
+def test_only_the_radio_and_the_run_write_the_onair_list():
+    assert _package_writers({"_onair"}) == [
+        "engine.World.__init__", "engine.World.broadcast", "engine.run"
+    ]
 
 
 def test_the_check_sees_state_copy_writes():
@@ -172,7 +186,7 @@ def test_the_check_sees_state_copy_writes():
         "    world._deadline = 1.0\n"
         "    print(world._dead)\n"
     )
-    assert _state_copy_writers(ast.parse(source)) == [
+    assert _writers(ast.parse(source), STATE_COPIES) == [
         "World.__init__: self._dead",
         "World._sync_state: self._radio_mask",
         "deploy: world._guard_mask",
@@ -185,7 +199,7 @@ def _slotted_objects():
     return {
         "World": world,
         "SensorNode": world.nodes[0],
-        "Frame": Frame(ProbeRequest(0), 0.0, 0.001, [1]),
+        "Frame": Frame(ProbeRequest(0), 0.0, 0.001, [1], 0b10),
     }
 
 
@@ -195,3 +209,16 @@ def test_per_event_objects_are_slotted(name):
     assert not hasattr(obj, "__dict__")
     with pytest.raises(AttributeError):
         obj.ad_hoc = 1
+
+
+def test_a_frame_keeps_its_fate_in_two_node_masks():
+    assert Frame.__slots__ == ("msg", "start", "end", "receivers", "live", "dropped")
+    frame = Frame(ProbeRequest(0), 0.0, 0.001, [1, 3], 0b1010)
+    assert (frame.live, frame.dropped) == (0b1010, 0)
+
+
+def test_metrics_rows_are_slotted_and_frozen():
+    row = simulate(SimConfig(n_nodes=2, duration=10.0)).rows[0]
+    assert isinstance(row, MetricsRecord) and not hasattr(row, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.time = 1.0

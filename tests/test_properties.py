@@ -1,7 +1,10 @@
-"""Post-run engine invariants over small random configs, both policies, and
-the metrics sampler against the per-node reference it replaced."""
+"""Post-run engine invariants over small random configs, both policies, the
+radio against the per-receiver lists it replaced, and the metrics sampler
+against the per-node reference it replaced."""
 
+import random
 import sys
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from sentinelsim import engine
 from sentinelsim.analysis import MetricsRecord, coverage_fraction, metrics_to_csv, overhead_report
 from sentinelsim.engine import PROTOCOLS, SimConfig, World, deploy, run, simulate
-from sentinelsim.protocol import NodeState
+from sentinelsim.protocol import NodeState, ProbeRequest
 
 LEDGER_TOLERANCE = 1e-9
 
@@ -123,6 +126,78 @@ def test_broadcast_receivers_match_the_radio_set_oracle(cfg):
         run(world)
     finally:
         World.broadcast = broadcast
+
+
+class ReferenceRadio:
+    """The radio before the on-air list: one in-flight list per receiver,
+    pruned by each new frame's start, the pruning gap included."""
+
+    def __init__(self, world):
+        self.world = world
+        self.rng = random.Random()
+        self.rng.setstate(world.rng.getstate())
+        self.inflight = {}
+        self.collisions = 0
+
+    def broadcast(self, sender_id, start):
+        world, cfg = self.world, self.world.config
+        end = start + cfg.airtime
+        frame = SimpleNamespace(start=start, end=end, dropped=set())
+        for rid in engine._ids(world._radio_mask & world.neighbor_masks[sender_id]):
+            lost = self.rng.random() < cfg.loss_probability
+            live, hit = [frame], False
+            for f in self.inflight.get(rid, ()):
+                if f.end > start:
+                    live.append(f)
+                    if cfg.collisions and f.start < end:
+                        f.dropped.add(rid)
+                        hit = True
+            self.inflight[rid] = live
+            if hit:
+                self.collisions += 1
+                frame.dropped.add(rid)
+            if lost:
+                frame.dropped.add(rid)
+        return frame
+
+
+# airtime 2**-10 s, and starts on a 2**-12 s grid: frames abut and overlap
+# exactly, and jitter up to 20 steps (4.9 ms) puts starts out of order
+TICK = 2.0**-12
+radio_runs = st.fixed_dictionaries({
+    "positions": st.lists(st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
+                          min_size=2, max_size=8),
+    "seed": st.integers(0, 2**16),
+    "collisions": st.booleans(),
+    "loss_probability": st.sampled_from([0.0, 0.3]),
+    # (sender, clock advance in ticks, start jitter in ticks)
+    "steps": st.lists(st.tuples(st.integers(0, 7), st.integers(0, 8), st.integers(0, 20)),
+                      max_size=40),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(radio_runs)
+def test_broadcast_matches_the_per_receiver_reference(case):
+    positions = case["positions"]
+    cfg = SimConfig(n_nodes=len(positions), seed=case["seed"], collisions=case["collisions"],
+                    loss_probability=case["loss_probability"], msg_size=32,
+                    bitrate=2.0**18, field_width=40.0, field_height=40.0)
+    assert cfg.airtime == 4 * TICK
+    world = deploy(cfg, positions=positions, initial_sleeps=[1e9] * len(positions))
+    for node in world.nodes:
+        world.set_state(node, NodeState.PROBING, 0.0)
+    reference = ReferenceRadio(world)
+    frames, expected = [], []
+    for sender, advance, jitter in case["steps"]:
+        world.clock += advance * TICK
+        start = world.clock + jitter * TICK
+        node = world.nodes[sender % len(positions)]
+        frames.append(world.broadcast(node, ProbeRequest(node.id), start))
+        expected.append(reference.broadcast(node.id, start))
+    assert [f.dropped for f in frames] == [sum(1 << j for j in f.dropped) for f in expected]
+    assert world.collisions == reference.collisions
+    assert world.rng.getstate() == reference.rng.getstate()
 
 
 def reference_sample(world, now):
