@@ -22,6 +22,7 @@ from .engine import (
     SimError,
     World,
     deploy,
+    inject_failure,
     run,
     simulate,
 )

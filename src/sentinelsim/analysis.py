@@ -199,10 +199,12 @@ def recovery_latency(
 ) -> float:
     """Seconds from a failure injection until the dead guard's disk regained an
     active node, UNRECOVERED if it never did within the run."""
-    for ev in result.recoveries:
-        if ev.time == failure_time and (node_id is None or ev.node_id == node_id):
-            return ev.latency
-    raise ValueError(f"no failure injection recorded at t={failure_time}")
+    found = [ev for ev in result.recoveries
+             if ev.time == failure_time and node_id in (None, ev.node_id)]
+    if len(found) != 1:  # none, or several that share the time: pass node_id
+        ids = [ev.node_id for ev in found]
+        raise ValueError(f"expected one failure injection at t={failure_time}, got nodes {ids}")
+    return found[0].latency
 
 
 @dataclass(frozen=True)

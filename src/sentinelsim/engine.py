@@ -536,6 +536,10 @@ def deploy(
     # energy. Killing an already dead node is a no-op at run time.
     for node_id, when in config.failure_injections:
         world.push(when, EventKind.FAILURE_INJECTION, node_id)
+    duration, end = config.duration, format_csv_value(config.duration)
+    world.push(duration, _END)  # and sample 0, unless the closing one takes its place
+    if duration > 1e-9 * config.metrics_interval and format_csv_value(0.0) != end:
+        world.push(0.0, _SAMPLE, 0)
     return world
 
 
@@ -605,12 +609,17 @@ def _handle_delivery(world: World, frame: Frame, now: float) -> None:
                 world._sync_state(node, prev, now)
 
 
-def _handle_failure(world: World, node_id: int, now: float) -> None:
-    node = world.nodes[node_id]
+def inject_failure(world: World, node_id: int) -> None:
+    """Kill a live node at world.clock, whatever its energy, and log its hole."""
+    nodes, now = world.nodes, world.clock
+    if not _fits(node_id, int) or not 0 <= node_id < len(nodes):
+        raise ValueError(f"failure injection names unknown node id {node_id}")
+    if world._finished:
+        raise SimError("world has already been run")
+    node = nodes[node_id]
     if node.state is _DEAD:
         return
     world.set_state(node, _DEAD, now)
-    nodes = world.nodes
     covered = any(
         math.hypot(node.x - nodes[gid].x, node.y - nodes[gid].y) <= world.config.delta
         for gid in _ids(world._guard_mask)
@@ -671,25 +680,25 @@ def _record_sample(world: World, now: float) -> None:
     world.result.conflict_ages.append((now, oldest))
 
 
-def run(world: World, duration: None = None) -> RunResult:
-    """Drive the event loop to SimConfig.duration; return world.result.
-    `duration` stays for callers that pass None; any other value raises."""
-    if duration is not None:
-        raise ValueError(f"the run length is SimConfig.duration, not run's {duration!r}")
+def run(world: World, until: float | None = None) -> RunResult:
+    """Process every event before `until`, SimConfig.duration by default, and
+    return world.result; a run paused short of the duration resumes on the next call."""
     if world._finished:
         raise SimError("world has already been run")
     cfg = world.config
     duration = cfg.duration
+    until = duration if until is None else until
+    if not _fits(until, float) or not world.clock <= until <= duration:
+        raise ValueError(f"until must lie in [clock {world.clock}, {duration}], got {until!r}")
     interval = cfg.metrics_interval
     # Sample k is at k * interval, not a sum of k intervals, whose float error
     # could put one a hair before the end. A sample within a billionth of an
     # interval of the end, or printed at its CSV time, is left to the closing one.
     end = format_csv_value(duration)
-    world.push(duration, _END)
-    if duration > 1e-9 * interval and format_csv_value(0.0) != end:
-        world.push(0.0, _SAMPLE, 0)
-
     heap = world._heap
+    if until < duration:  # a pause: it sorts before every event at `until`
+        heappush(heap, (float(until), -1, _END, None))
+
     nodes = world.nodes
     while heap:
         now, _, kind, payload = heappop(heap)
@@ -715,15 +724,15 @@ def run(world: World, duration: None = None) -> RunResult:
             if duration - t > 1e-9 * interval and format_csv_value(t) != end:
                 world.push(t, _SAMPLE, k)
         elif kind is _FAILURE:
-            _handle_failure(world, payload, now)
+            inject_failure(world, payload)
         elif kind is _END:
             break
 
-    _record_sample(world, duration)  # every sample above lies before the end
-    # a finished world cannot run again: free the events and frames it still holds
-    heap.clear()
-    world._onair = []
-    world._finished = True
+    if until == duration:  # only the end frees the events and frames a pause keeps
+        _record_sample(world, duration)  # every sample above lies before the end
+        heap.clear()  # a finished world cannot run again
+        world._onair = []
+        world._finished = True
     return world.result
 
 

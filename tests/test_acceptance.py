@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from sentinelsim.analysis import CoverageGrid, coverage_fraction, metrics_to_csv
-from sentinelsim.engine import SimConfig, deploy, run, simulate
+from sentinelsim.engine import SimConfig, deploy, inject_failure, run, simulate
 from sentinelsim.scheduling import (
     WeibullParams,
     sample_sleep_time,
@@ -184,19 +184,13 @@ def test_criterion_6_hole_recovery():
     recovered = 0
     for rep in range(20):
         seed = 600 + rep
-        base = SimConfig(n_nodes=300, duration=4500.0, seed=seed)
-        # learning runs: determinism makes the prefix identical, so a node
-        # active at the probe time in the learning run is active in the
-        # measured run too
-        probe_a = deploy(replace(base, duration=1000.0))
-        run(probe_a)
-        v1 = _central_victim(probe_a)
-        probe_b = deploy(replace(base, duration=4000.0, failure_injections=[(v1, 1000.0)]))
-        run(probe_b)
-        v2 = _central_victim(probe_b)
-        final = simulate(
-            replace(base, failure_injections=[(v1, 1000.0), (v2, 4000.0)])
-        )
+        # one run, paused at each failure time to kill the guard nearest the
+        # field centre then, before any event at that time
+        world = deploy(SimConfig(n_nodes=300, duration=4500.0, seed=seed))
+        for t in (1000.0, 4000.0):
+            run(world, t)
+            inject_failure(world, _central_victim(world))
+        final = run(world)
         for ev in final.recoveries:
             if not math.isinf(ev.latency):
                 recovered += 1

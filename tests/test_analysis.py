@@ -163,6 +163,25 @@ def test_recovery_latency_reads_the_recorded_event():
         recovery_latency(res, 555.0)
 
 
+def test_recovery_latency_needs_the_node_when_failures_share_a_time():
+    res = make_result(
+        SimConfig(n_nodes=3),
+        [make_row()],
+        recoveries=[
+            RecoveryEvent(2, 1000.0, (25.0, 25.0), recovered_at=1040.0),
+            RecoveryEvent(0, 1000.0, (10.0, 10.0), recovered_at=None),
+            RecoveryEvent(1, 2000.0, (40.0, 40.0), recovered_at=2005.0),
+        ],
+    )
+    with pytest.raises(ValueError, match=r"at t=1000.0, got nodes \[2, 0\]$"):
+        recovery_latency(res, 1000.0)
+    assert recovery_latency(res, 1000.0, node_id=2) == pytest.approx(40.0)
+    assert recovery_latency(res, 1000.0, node_id=0) == UNRECOVERED
+    assert recovery_latency(res, 2000.0) == pytest.approx(5.0)
+    with pytest.raises(ValueError, match=r"at t=1000.0, got nodes \[\]$"):
+        recovery_latency(res, 1000.0, node_id=1)
+
+
 def test_sparse_deployment_leaves_hole_unrecovered():
     # no reserve anywhere near the victim: the hole survives to the end
     cfg = SimConfig(

@@ -21,6 +21,7 @@ from sentinelsim.engine import (
     SimError,
     World,
     deploy,
+    inject_failure,
     _record_sample,
     run,
     simulate,
@@ -585,15 +586,108 @@ def test_finished_world_holds_no_frame(monkeypatch):
     assert [r for f in frames for r in gc.get_referrers(f) if r is not frames] == []
 
 
-@pytest.mark.parametrize("duration", [5.0, 300.0, 100.0, math.nan, math.inf])
-def test_run_length_comes_only_from_the_config(duration):
-    # a second run length would skip SimConfig.validate and disagree with
-    # RunResult.config, even when it equals the config's
+@pytest.mark.parametrize("until", [5.0, 300.0, 100.0, math.nan, math.inf])
+def test_run_length_comes_only_from_the_config(until):
+    # `until` only pauses the run inside the config's duration (100 s): one past
+    # it, or no time at all, is refused and leaves the world as it was
     world = deploy(small_config(n_nodes=1))
-    with pytest.raises(ValueError, match="SimConfig.duration"):
-        run(world, duration)
+    if 0.0 <= until <= 100.0:
+        run(world, until)
+        assert world.clock == until
+    else:
+        with pytest.raises(ValueError, match="^until must lie in"):
+            run(world, until)
+        assert world.clock == 0.0 and world.result.rows == []
+    if until != 100.0:  # a run to the duration finishes the world
+        assert run(world).rows[-1].time == 100.0
+
+
+@pytest.mark.parametrize("until", [19.0, -1.0, True, "50"])
+def test_run_refuses_an_until_before_the_clock_or_not_a_time(until):
+    world = deploy(small_config(n_nodes=10, seed=4))
+    run(world, 20.0)
+    rows, state = list(world.result.rows), world.rng.getstate()
+    with pytest.raises(ValueError, match="^until must lie in"):
+        run(world, until)
+    assert world.clock == 20.0 and world.result.rows == rows
+    assert world.rng.getstate() == state
+    assert metrics_to_csv(run(world).rows) == metrics_to_csv(simulate(world.config).rows)
+
+
+def test_a_paused_run_resumes_where_it_stopped():
+    cfg = small_config(n_nodes=30, seed=5, duration=200.0)
+    world = deploy(cfg)
+    run(world, 0.0)
     assert world.clock == 0.0 and world.result.rows == []
-    assert run(world).rows[-1].time == 100.0
+    run(world, 50.0)
+    run(world, 50.0)  # nothing lies before 50 s any more
+    # a pause stops before the events at its time: the sample at 50 s is next
+    assert world.clock == 50.0 and world.result.rows[-1].time == 40.0
+    assert run(world) is world.result
+    assert metrics_to_csv(world.result.rows) == metrics_to_csv(simulate(cfg).rows)
+    with pytest.raises(SimError, match="already been run"):
+        run(world, 150.0)
+
+
+def test_a_pause_keeps_the_frames_on_the_air(force_state):
+    # two probes 0.4 ms apart overlap at the guard between them: a pause
+    # between the two sends must not forget the first frame
+    def outcome(pause):
+        world = deploy(
+            small_config(n_nodes=3, duration=10.0),
+            positions=[(0.0, 0.0), (10.0, 0.0), (5.0, 0.0)],
+            initial_sleeps=[1.0, 1.0004, 1e9],
+        )
+        force_state(world, world.nodes[2], NodeState.ACTIVE)
+        if pause:
+            run(world, 1.0004)
+        run(world)
+        return world.collisions, metrics_to_csv(world.result.rows)
+
+    assert outcome(pause=True) == outcome(pause=False)
+    assert outcome(pause=False)[0] > 0
+
+
+def test_an_injected_failure_equals_a_configured_one():
+    cfg = small_config(n_nodes=40, seed=6, duration=300.0)
+    world = deploy(cfg)
+    run(world, 120.0)
+    victim = min(world.active_ids)
+    inject_failure(world, victim)
+    assert world.nodes[victim].state is NodeState.DEAD
+    live = run(world)
+    configured = simulate(dataclasses.replace(cfg, failure_injections=[(victim, 120.0)]))
+    assert [(e.node_id, e.time) for e in live.recoveries] == [(victim, 120.0)]
+    assert live.recoveries == configured.recoveries
+    assert metrics_to_csv(live.rows) == metrics_to_csv(configured.rows)
+
+
+@pytest.mark.parametrize("node_id", [-1, 4, True, 1.0])
+def test_inject_failure_refuses_an_unknown_node(node_id):
+    world = deploy(small_config(), initial_sleeps=[0.5] * 4)
+    run(world, 10.0)
+    with pytest.raises(ValueError, match=f"^failure injection names unknown node id {node_id}$"):
+        inject_failure(world, node_id)
+    assert world.result.recoveries == []
+    assert NodeState.DEAD not in {node.state for node in world.nodes}
+
+
+def test_inject_failure_refuses_a_finished_world():
+    world = deploy(small_config())
+    run(world)
+    with pytest.raises(SimError, match="already been run"):
+        inject_failure(world, 0)
+    assert world.result.recoveries == []
+
+
+def test_injecting_a_dead_node_leaves_no_hole():
+    world = deploy(small_config(n_nodes=2), initial_sleeps=[0.5, 0.5])
+    run(world, 10.0)
+    inject_failure(world, 0)
+    (hole,) = world.result.recoveries
+    assert (hole.node_id, hole.time) == (0, 10.0)
+    inject_failure(world, 0)
+    assert world.result.recoveries == [hole]
 
 
 # -- state changes outside the protocol handlers ----------------------------------

@@ -16,7 +16,9 @@ call but the rare `_deplete`: the charge is inlined, and the radio and guard
 masks and the dead count are the engine's. Those three are the engine's only
 copies of its nodes' states, so one method writes them all, besides the
 constructor that zeroes them. Likewise only the radio replaces its list of
-frames on the air, and only the run, which empties it when it ends.
+frames on the air, and only the run, which empties it when it ends. Only
+`World.push` and the run, which adds its pause, push onto the event queue, and
+only the run marks a world finished.
 """
 
 import ast
@@ -41,7 +43,7 @@ PER_EVENT = [
     (engine, "_handle_delivery"),
     (engine, "_probe_step"),
     (engine, "_record_sample"),
-    (engine, "_handle_failure"),
+    (engine, "inject_failure"),
     (engine, "World.push"),
     (engine, "World.charge"),
     (engine, "World.broadcast"),
@@ -171,6 +173,55 @@ def test_only_the_radio_and_the_run_write_the_onair_list():
     assert _package_writers({"_onair"}) == [
         "engine.World.__init__", "engine.World.broadcast", "engine.run"
     ]
+
+
+def _heap_pushers(tree: ast.AST) -> tuple[list[str], list[str]]:
+    """The scopes that call `heappush`, and those that read a `_heap` attribute."""
+    pushers, readers = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith("heappush"):
+                pushers.add(scope)
+            if isinstance(child, ast.Attribute) and child.attr == "_heap":
+                readers.add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(pushers), sorted(readers)
+
+
+def test_only_push_and_the_run_push_onto_the_heap():
+    package = Path(engine.__file__).parent.glob("*.py")
+    found = [_heap_pushers(ast.parse(path.read_text())) for path in package]
+    pushers = sorted(p for pushing, _ in found for p in pushing)
+    readers = sorted(r for _, reading in found for r in reading)
+    assert pushers == ["World.push", "run"]
+    # an alias of the queue is taken only where it is pushed onto, or made
+    assert readers == ["World.__init__", "World.push", "run"]
+
+
+def test_the_check_sees_heap_pushes():
+    source = (
+        "class World:\n"
+        "    def push(self, item):\n"
+        "        heapq.heappush(self._heap, item)\n"
+        "def run(world):\n"
+        "    heap = world._heap\n"
+        "    heappush(heap, 1)\n"
+        "def peek(world):\n"
+        "    return world._heap[0]\n"
+    )
+    assert _heap_pushers(ast.parse(source)) == (
+        ["World.push", "run"], ["World.push", "peek", "run"]
+    )
+
+
+def test_only_the_constructor_and_the_run_write_finished():
+    assert _package_writers({"_finished"}) == ["engine.World.__init__", "engine.run"]
 
 
 def test_the_check_sees_state_copy_writes():

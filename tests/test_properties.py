@@ -1,9 +1,11 @@
 """Post-run engine invariants over small random configs, both policies, the
-radio against the per-receiver lists it replaced, and the metrics sampler
-against the per-node reference it replaced."""
+radio against the per-receiver lists it replaced, the metrics sampler
+against the per-node reference it replaced, and paused runs against
+uninterrupted ones."""
 
 import random
 import sys
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -239,10 +241,13 @@ def reference_sample(world, now):
     world.result.conflict_ages.append((now, oldest))
 
 
-def outputs(cfg):
-    """A run's metrics CSV, energy ledgers and logs, each as exact text."""
+def outputs(cfg, stops=(None,)):
+    """A run's metrics CSV, energy ledgers and logs, each as exact text, and
+    its generator's final state. The run is one `run` call per stop, the last
+    of which is None or the duration."""
     world = deploy(cfg)
-    result = run(world)
+    for until in stops:
+        result = run(world, until)
     ledger = [(n.spent_state, n.spent_tx, n.spent_rx, n.spent_total) for n in world.nodes]
     logs = (
         result.activations,
@@ -250,7 +255,7 @@ def outputs(cfg):
         sorted(result.false_activation_ids),
         result.recoveries,
     )
-    return metrics_to_csv(result.rows), repr(ledger), repr(logs)
+    return metrics_to_csv(result.rows), repr(ledger), repr(logs), world.rng.getstate()
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,3 +269,49 @@ def test_sampler_matches_the_per_node_reference(cfg):
     finally:
         engine._record_sample = sampler
     assert fast == slow
+
+
+@contextmanager
+def call_clocks(*names):
+    """Record the clock at each call to the named `World` methods while the
+    block runs, per name."""
+    clocks = {name: [] for name in names}
+    originals = {name: getattr(World, name) for name in names}
+
+    def recorded(name, method):
+        def wrapper(self, *args):
+            clocks[name].append(self.clock)
+            return method(self, *args)
+        return wrapper
+
+    for name, method in originals.items():
+        setattr(World, name, recorded(name, method))
+    try:
+        yield clocks
+    finally:
+        for name, method in originals.items():
+            setattr(World, name, method)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(), st.data())
+def test_a_paused_run_equals_one_uninterrupted_run(cfg, data):
+    """Pauses at 0, sample times, failure times, sends that may overlap a
+    frame sent before the pause, and any time before the end, then one stop
+    at the end, change nothing."""
+    methods = ("push", "charge", "broadcast")
+    with call_clocks(*methods) as whole_calls:
+        whole = outputs(cfg)
+    end, interval = cfg.duration, cfg.metrics_interval
+    marks = [k * interval for k in range(int(end / interval) + 1)]
+    marks += [t for _, t in cfg.failure_injections]
+    # a frame goes on the air up to reply_jitter after its send, for one airtime
+    sends = whole_calls["broadcast"]
+    reach = cfg.reply_jitter + cfg.airtime
+    marks += [b for a, b in zip(sends, sends[1:]) if a < b < a + reach]
+    times = data.draw(st.lists(st.one_of(st.sampled_from(marks), st.floats(0.0, end)), max_size=6))
+    stops = [*sorted(t for t in times if t < end), data.draw(st.sampled_from([None, end]))]
+    with call_clocks(*methods) as paused_calls:
+        paused = outputs(cfg, stops)
+    assert paused == whole
+    assert paused_calls == whole_calls
