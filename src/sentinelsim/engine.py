@@ -393,14 +393,18 @@ class World:
         cfg = self.config
         end = start + cfg.airtime
         audience = self._radio_mask & self.neighbor_masks[sender.id]
-        receivers = _ids(audience)
-        frame = Frame(msg, start, end, receivers, audience)
         random = self.rng.random
         loss = cfg.loss_probability
+        receivers = []
         dropped = 0
-        for rid in receivers:  # one loss draw per receiver, in id order
+        rest = audience
+        while rest:  # one loss draw per receiver, in id order, as _ids walks
+            low = rest & -rest
+            receivers.append(low.bit_length() - 1)
             if random() < loss:
-                dropped |= 1 << rid
+                dropped |= low
+            rest ^= low
+        frame = Frame(msg, start, end, receivers, audience)
         if audience and cfg.collisions:
             # one walk of the frames on the air: mark the ones that overlap
             # this frame at a shared receiver, take this frame's receivers out
@@ -543,72 +547,6 @@ def deploy(
     return world
 
 
-def _probe_step(world: World, node: SensorNode, now: float, handler) -> None:
-    """Run a wake or reply-timeout handler on a node, then put the probe it
-    returns on the air and arm a fresh reply timeout."""
-    world.charge(node, now)
-    if node.state is _DEAD:
-        return  # depleted while asleep or listening
-    prev = node.state
-    req = handler(node, world.config, now)
-    if node.state is not prev:
-        world._sync_state(node, prev, now)
-    if req is not None:
-        token = node.timer_token  # a death by the probe's own cost voids it
-        world.broadcast(node, req, now)
-        world.push(now + world.config.t_w, _TIMEOUT, (node.id, token))
-
-
-def _handle_delivery(world: World, frame: Frame, now: float) -> None:
-    cfg = world.config
-    e_rx = cfg.e_rx
-    budget = cfg.initial_energy
-    jitter = cfg.reply_jitter
-    dropped = frame.dropped
-    nodes = world.nodes
-    charge = world.charge
-    random = world.rng.random
-    policy = world.policy  # its handlers are still looked up per call
-    msg = frame.msg
-    is_request = isinstance(msg, ProbeRequest)
-    for rid in frame.receivers:
-        if dropped >> rid & 1 or not world._radio_mask >> rid & 1:
-            continue  # lost, or slept or died while the frame was in the air
-        node = nodes[rid]
-        charge(node, now)
-        if node.state is _DEAD:
-            continue  # the charge spent its budget: a charge can only kill
-        if e_rx < budget - node.spent_total:
-            node.spent_rx += e_rx
-            node.spent_total += e_rx
-        else:
-            world._deplete(node, "spent_rx", now)
-            continue
-        if is_request:
-            # received-probe accounting follows the message's purpose: only
-            # guards are probe destinations, overhearing probers are not
-            if node.state is _ACTIVE:
-                world.probes_received += 1
-                # the same float from the same one draw as rng.uniform(0.0, jitter)
-                tx_start = now + jitter * random() if jitter > 0 else now
-                reply = protocol.on_probe_request(node, msg, tx_start)
-                if reply is not None:
-                    world.broadcast(node, reply, tx_start)
-        else:
-            r = random()  # uniform on the open interval (0, 1)
-            while r == 0.0:
-                r = random()
-            prev = node.state
-            if prev is _PROBING:
-                world.replies_received += 1
-                policy.on_probe_reply(node, msg, cfg, now, r)
-            else:  # ACTIVE: overheard replies route to the withdrawal check
-                if policy.on_withdrawal_check(node, msg, cfg, now, r):
-                    world.withdrawals += 1
-            if node.state is not prev:
-                world._sync_state(node, prev, now)
-
-
 def inject_failure(world: World, node_id: int) -> None:
     """Kill a live node at world.clock, whatever its energy, and log its hole."""
     nodes, now = world.nodes, world.clock
@@ -699,7 +637,13 @@ def run(world: World, until: float | None = None) -> RunResult:
     if until < duration:  # a pause: it sorts before every event at `until`
         heappush(heap, (float(until), -1, _END, None))
 
-    nodes = world.nodes
+    # Bound once per call, so a World method patched during a pause takes
+    # effect at the next call; the protocol and policy handlers are looked up
+    # at every call.
+    nodes, power, policy, random = world.nodes, world._power, world.policy, world.rng.random
+    e_rx, budget, jitter, t_w = cfg.e_rx, cfg.initial_energy, cfg.reply_jitter, cfg.t_w
+    push, broadcast, charge = world.push, world.broadcast, world.charge
+    deplete, sync_state = world._deplete, world._sync_state
     while heap:
         now, _, kind, payload = heappop(heap)
         if now < world.clock - 1e-9:
@@ -709,20 +653,82 @@ def run(world: World, until: float | None = None) -> RunResult:
             )
         world.clock = now
         if kind is _DELIVERY:
-            _handle_delivery(world, payload, now)
+            msg = payload.msg
+            is_request = isinstance(msg, ProbeRequest)
+            # Handling a receiver changes only its own state, so the radio bits
+            # of the receivers after it hold for the whole frame.
+            heard = world._radio_mask & ~payload.dropped
+            for rid in payload.receivers:
+                if not heard >> rid & 1:
+                    continue  # lost, or slept or died while the frame was in the air
+                node = nodes[rid]
+                # World.charge's float steps, inline, as the sampler's
+                dt = now - node.last_charge_time
+                if dt > 0.0:
+                    node.last_charge_time = now
+                    p = power[node.state]
+                    if p > 0.0:
+                        amount = p * dt
+                        if amount < budget - node.spent_total:
+                            node.spent_state += amount
+                            node.spent_total += amount
+                        else:
+                            deplete(node, "spent_state", now)
+                            continue  # the charge spent its budget
+                if e_rx < budget - node.spent_total:
+                    node.spent_rx += e_rx
+                    node.spent_total += e_rx
+                else:
+                    deplete(node, "spent_rx", now)
+                    continue
+                if is_request:
+                    # received-probe accounting follows the message's purpose:
+                    # only guards are probe destinations, overhearing probers are not
+                    if node.state is _ACTIVE:
+                        world.probes_received += 1
+                        # the same float from the same one draw as rng.uniform(0.0, jitter)
+                        tx_start = now + jitter * random() if jitter > 0 else now
+                        reply = protocol.on_probe_request(node, msg, tx_start)
+                        if reply is not None:
+                            broadcast(node, reply, tx_start)
+                else:
+                    r = random()  # uniform on the open interval (0, 1)
+                    while r == 0.0:
+                        r = random()
+                    prev = node.state
+                    if prev is _PROBING:
+                        world.replies_received += 1
+                        policy.on_probe_reply(node, msg, cfg, now, r)
+                    # ACTIVE: overheard replies route to the withdrawal check
+                    elif policy.on_withdrawal_check(node, msg, cfg, now, r):
+                        world.withdrawals += 1
+                    if node.state is not prev:
+                        sync_state(node, prev, now)
         elif kind is _WAKE or kind is _TIMEOUT:
+            # run the node's wake or reply-timeout handler, then put the probe
+            # it returns on the air and arm a fresh reply timeout
             nid, token = payload
             node = nodes[nid]
-            # a state change since arming voids the timer
-            if token == node.timer_token:
-                handler = protocol.on_wake if kind is _WAKE else protocol.on_reply_timeout
-                _probe_step(world, node, now, handler)
+            if token != node.timer_token:
+                continue  # a state change since arming voids the timer
+            charge(node, now)
+            if node.state is _DEAD:
+                continue  # depleted while asleep or listening
+            prev = node.state
+            handler = protocol.on_wake if kind is _WAKE else protocol.on_reply_timeout
+            req = handler(node, cfg, now)
+            if node.state is not prev:
+                sync_state(node, prev, now)
+            if req is not None:
+                token = node.timer_token  # a death by the probe's own cost voids it
+                broadcast(node, req, now)
+                push(now + t_w, _TIMEOUT, (nid, token))
         elif kind is _SAMPLE:
             _record_sample(world, now)
             k = payload + 1
             t = k * interval
             if duration - t > 1e-9 * interval and format_csv_value(t) != end:
-                world.push(t, _SAMPLE, k)
+                push(t, _SAMPLE, k)
         elif kind is _FAILURE:
             inject_failure(world, payload)
         elif kind is _END:

@@ -807,8 +807,8 @@ def test_a_probe_that_spends_the_senders_budget_voids_its_reply_timeout(monkeypa
     run(world)
     assert world.probes_sent == 1
     assert world.nodes[0].state is NodeState.DEAD
-    # only the wake: nothing charges at the 2 s timeout (the sampler charges
-    # inline, not through World.charge)
+    # only the wake: nothing charges at the 2 s timeout (the sampler and the
+    # frame deliveries charge inline, not through World.charge)
     assert charged_at == [1.0]
 
 

@@ -19,6 +19,9 @@ constructor that zeroes them. Likewise only the radio replaces its list of
 frames on the air, and only the run, which empties it when it ends. Only
 `World.push` and the run, which adds its pause, push onto the event queue, and
 only the run marks a world finished.
+
+The run's one event loop charges each receiver of a frame inline the same
+way, and reads the config only through the locals it binds before the loop.
 """
 
 import ast
@@ -40,8 +43,6 @@ HANDLERS = ("on_wake", "on_probe_request", "on_probe_reply", "on_reply_timeout",
 
 PER_EVENT = [
     (engine, "run"),
-    (engine, "_handle_delivery"),
-    (engine, "_probe_step"),
     (engine, "_record_sample"),
     (engine, "inject_failure"),
     (engine, "World.push"),
@@ -130,6 +131,74 @@ def test_the_check_sees_calls_in_node_loops():
         "        print(node)\n"
     )
     assert _calls_in_node_loops(ast.parse(source)) == ["line 3: world.charge"]
+
+
+def _event_loop() -> ast.While:
+    """The `while heap:` loop of `run`."""
+    return next(
+        n for n in ast.walk(_definition(engine, "run"))
+        if isinstance(n, ast.While) and ast.unparse(n.test) == "heap"
+    )
+
+
+def _config_reads(tree: ast.AST) -> list[str]:
+    """Every read of `world.config` or of an attribute of `cfg`, and every
+    use of `cfg` but as a call argument."""
+    passed = {
+        id(arg) for call in ast.walk(tree) if isinstance(call, ast.Call) for arg in call.args
+    }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "config":
+            reads.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id == "cfg" and id(node) not in passed:
+            reads.append((node.lineno, "cfg"))
+    return [f"line {line}: {read}" for line, read in sorted(reads)]
+
+
+def test_the_event_loop_only_passes_the_config_on():
+    assert _config_reads(_event_loop()) == []
+
+
+def test_the_check_sees_config_reads():
+    source = (
+        "while heap:\n"
+        "    handler(node, cfg, now)\n"
+        "    t_w = cfg.t_w\n"
+        "    jitter = world.config.reply_jitter\n"
+        "    config = cfg\n"
+    )
+    assert _config_reads(ast.parse(source)) == [
+        "line 3: cfg", "line 4: world.config", "line 5: cfg"
+    ]
+
+
+def _charge_calls(tree: ast.AST) -> list[str]:
+    """Every call to a function or method named `charge` in the tree."""
+    return [
+        f"line {n.lineno}: {ast.unparse(n.func)}" for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "attr", getattr(n.func, "id", None)) == "charge"
+    ]
+
+
+def test_the_delivery_receiver_loop_calls_no_charge():
+    loops = [
+        n for n in ast.walk(_event_loop())
+        if isinstance(n, ast.For) and ast.unparse(n.iter).endswith(".receivers")
+    ]
+    assert len(loops) == 1
+    assert _charge_calls(loops[0]) == []
+
+
+def test_the_check_sees_charge_calls():
+    source = (
+        "for rid in frame.receivers:\n"
+        "    world.charge(nodes[rid], now)\n"
+        "    charge(nodes[rid], now)\n"
+        "    world._deplete(nodes[rid], 'spent_rx', now)\n"
+    )
+    assert _charge_calls(ast.parse(source)) == ["line 2: world.charge", "line 3: charge"]
 
 
 STATE_COPIES = {"_radio_mask", "_guard_mask", "_dead"}

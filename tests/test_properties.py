@@ -1,7 +1,7 @@
 """Post-run engine invariants over small random configs, both policies, the
 radio against the per-receiver lists it replaced, the metrics sampler
-against the per-node reference it replaced, and paused runs against
-uninterrupted ones."""
+against the per-node reference it replaced, paused runs against
+uninterrupted ones, and the node each protocol handler is handed."""
 
 import random
 import sys
@@ -11,7 +11,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentinelsim import engine
+from sentinelsim import engine, peas, protocol
 from sentinelsim.analysis import MetricsRecord, coverage_fraction, metrics_to_csv, overhead_report
 from sentinelsim.engine import PROTOCOLS, SimConfig, World, deploy, run, simulate
 from sentinelsim.protocol import NodeState, ProbeRequest
@@ -315,3 +315,55 @@ def test_a_paused_run_equals_one_uninterrupted_run(cfg, data):
         paused = outputs(cfg, stops)
     assert paused == whole
     assert paused_calls == whole_calls
+
+
+HANDLERS = [(protocol, name) for name in ("on_wake", "on_probe_request", "on_probe_reply",
+                                          "on_reply_timeout", "on_withdrawal_check")]
+HANDLERS += [(peas, "on_probe_reply"), (peas, "on_withdrawal_check")]
+
+
+@contextmanager
+def handler_spies(check):
+    """Call check(name, node) before each protocol and policy handler, patched
+    on its module, for the length of the block."""
+    originals = [(module, name, getattr(module, name)) for module, name in HANDLERS]
+
+    def spied(name, handler):
+        def wrapper(node, *args):
+            check(name, node)
+            return handler(node, *args)
+        return wrapper
+
+    for module, name, handler in originals:
+        setattr(module, name, spied(f"{module.__name__}.{name}", handler))
+    try:
+        yield
+    finally:
+        for module, name, handler in originals:
+            setattr(module, name, handler)
+
+
+# About 0.4 s for the 100 examples (1-4 ms each) on a 2-core x86-64 VM with
+# CPython 3.11.7.
+@settings(max_examples=100, deadline=None)
+@given(configs())
+def test_every_handler_sees_its_node_alive_and_charged_to_the_event(cfg):
+    """The run charges a node to the event's time before its handler runs,
+    receivers of a frame included, and hands no handler a dead node: a frame
+    reaches only receivers whose radio is still on."""
+    world = deploy(cfg)
+
+    def check(name, node):
+        assert node.state is not NodeState.DEAD, name
+        assert node.last_charge_time == world.clock, name
+
+    with handler_spies(check):
+        run(world)
+
+
+def test_the_handler_spies_see_every_handler():
+    seen = set()
+    for policy in PROTOCOLS:
+        with handler_spies(lambda name, node: seen.add(name)):
+            simulate(SimConfig(n_nodes=60, duration=300.0, seed=3, protocol=policy))
+    assert seen == {f"{module.__name__}.{name}" for module, name in HANDLERS}
