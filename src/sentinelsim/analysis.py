@@ -1,8 +1,9 @@
-"""Post-processing over simulation metric logs: coverage, hole recovery,
+"""A run's records and their post-processing: coverage, hole recovery,
 message overhead, and energy comparisons between paired runs.
 
-Everything here is pure computation over immutable run output; nothing
-touches the event engine.
+During a run the engine's sampler measures coverage on a `CoverageGrid`,
+appends a `MetricsRecord` per sample, and fills the world's `RunResult` in
+place. The functions that read a finished run only compute; none changes it.
 """
 
 from __future__ import annotations
@@ -211,7 +212,6 @@ def recovery_latency(
 class OverheadReport:
     """Cumulative control-traffic counter pairs over time."""
 
-    times: list[float]
     sent_vs_received_requests: list[tuple[int, int]]
     received_requests_vs_replies: list[tuple[int, int]]
     replies_conserved: bool  # no reply counted as received without being sent
@@ -225,7 +225,6 @@ def overhead_report(result: RunResult) -> OverheadReport:
     counted reception must trace back to a transmission.
     """
     rows = result.rows
-    times = [row.time for row in rows]
     pairs_a = [(row.probes_sent, row.probes_received) for row in rows]
     pairs_b = [(row.probes_received, row.replies_received) for row in rows]
     conserved = all(
@@ -236,7 +235,7 @@ def overhead_report(result: RunResult) -> OverheadReport:
         a.replies_received <= b.replies_received and a.probes_received <= b.probes_received
         for a, b in zip(rows, rows[1:])
     )
-    return OverheadReport(times, pairs_a, pairs_b, conserved)
+    return OverheadReport(pairs_a, pairs_b, conserved)
 
 
 def summarize(result: RunResult) -> SummaryReport:

@@ -540,11 +540,18 @@ def deploy(
     # energy. Killing an already dead node is a no-op at run time.
     for node_id, when in config.failure_injections:
         world.push(when, EventKind.FAILURE_INJECTION, node_id)
-    duration, end = config.duration, format_csv_value(config.duration)
-    world.push(duration, _END)  # and sample 0, unless the closing one takes its place
-    if duration > 1e-9 * config.metrics_interval and format_csv_value(0.0) != end:
-        world.push(0.0, _SAMPLE, 0)
+    world.push(config.duration, _END)  # and sample 0, unless the closing one takes its place
+    _queue_sample(world, 0)
     return world
+
+
+def _queue_sample(world: World, k: int) -> None:
+    """Queue sample k at k * interval (a sum of k intervals drifts), unless it lies within a
+    billionth of an interval of the end or prints at its CSV time: the closing one replaces it."""
+    duration, interval = world.config.duration, world.config.metrics_interval
+    t = k * interval
+    if duration - t > 1e-9 * interval and format_csv_value(t) != format_csv_value(duration):
+        world.push(t, _SAMPLE, k)
 
 
 def inject_failure(world: World, node_id: int) -> None:
@@ -620,7 +627,9 @@ def _record_sample(world: World, now: float) -> None:
 
 def run(world: World, until: float | None = None) -> RunResult:
     """Process every event before `until`, SimConfig.duration by default, and
-    return world.result; a run paused short of the duration resumes on the next call."""
+    return world.result; a run paused short of the duration resumes on the next call.
+    It ends at the END entry that `deploy` queues after its wakes and failures: the
+    last call runs deploy's events at the duration, but none the run queued for it."""
     if world._finished:
         raise SimError("world has already been run")
     cfg = world.config
@@ -628,11 +637,6 @@ def run(world: World, until: float | None = None) -> RunResult:
     until = duration if until is None else until
     if not _fits(until, float) or not world.clock <= until <= duration:
         raise ValueError(f"until must lie in [clock {world.clock}, {duration}], got {until!r}")
-    interval = cfg.metrics_interval
-    # Sample k is at k * interval, not a sum of k intervals, whose float error
-    # could put one a hair before the end. A sample within a billionth of an
-    # interval of the end, or printed at its CSV time, is left to the closing one.
-    end = format_csv_value(duration)
     heap = world._heap
     if until < duration:  # a pause: it sorts before every event at `until`
         heappush(heap, (float(until), -1, _END, None))
@@ -725,10 +729,7 @@ def run(world: World, until: float | None = None) -> RunResult:
                 push(now + t_w, _TIMEOUT, (nid, token))
         elif kind is _SAMPLE:
             _record_sample(world, now)
-            k = payload + 1
-            t = k * interval
-            if duration - t > 1e-9 * interval and format_csv_value(t) != end:
-                push(t, _SAMPLE, k)
+            _queue_sample(world, payload + 1)
         elif kind is _FAILURE:
             inject_failure(world, payload)
         elif kind is _END:

@@ -22,19 +22,11 @@ from sentinelsim.scheduling import (
     weibull_cdf,
 )
 
+from oracles import brute_force_fraction, ks_statistic
+
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
-
-
-def ks_statistic(samples, cdf) -> float:
-    xs = sorted(samples)
-    n = len(xs)
-    worst = 0.0
-    for i, x in enumerate(xs):
-        f = cdf(x)
-        worst = max(worst, abs((i + 1) / n - f), abs(i / n - f))
-    return worst
 
 
 def test_criterion_1_sampler_fidelity():
@@ -248,21 +240,6 @@ def test_criterion_8_determinism_and_energy_conservation():
     )
     assert identical
     assert worst_rel <= 1e-9
-
-
-def brute_force_fraction(positions, r_sense, width, height, resolution):
-    nx = max(1, int(round(width / resolution)))
-    ny = max(1, int(round(height / resolution)))
-    covered = 0
-    for i in range(nx):
-        cx = (i + 0.5) * resolution
-        for j in range(ny):
-            cy = (j + 0.5) * resolution
-            for x, y in positions:
-                if (cx - x) ** 2 + (cy - y) ** 2 <= r_sense * r_sense:
-                    covered += 1
-                    break
-    return covered / (nx * ny)
 
 
 def test_criterion_9_coverage_oracle_equivalence():

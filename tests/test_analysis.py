@@ -22,21 +22,7 @@ from sentinelsim.analysis import (
 )
 from sentinelsim.engine import SimConfig, deploy, run, simulate
 
-
-def brute_force_fraction(positions, r_sense, width, height, resolution):
-    """Independent oracle: per-cell distance scan in plain loops."""
-    nx = max(1, int(round(width / resolution)))
-    ny = max(1, int(round(height / resolution)))
-    covered = 0
-    for i in range(nx):
-        cx = (i + 0.5) * resolution
-        for j in range(ny):
-            cy = (j + 0.5) * resolution
-            for x, y in positions:
-                if (cx - x) ** 2 + (cy - y) ** 2 <= r_sense * r_sense:
-                    covered += 1
-                    break
-    return covered / (nx * ny)
+from oracles import brute_force_fraction
 
 
 def make_row(time=0.0, **kw):

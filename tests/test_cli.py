@@ -485,14 +485,22 @@ def test_failed_sweep_point_outputs_are_removed(tmp_path, monkeypatch):
     import sentinelsim.cli as cli_mod
 
     real = cli_mod.simulate
+    out = tmp_path / "out"
+    written = []
 
     def exploding(cfg):
-        if cfg.n_nodes == 20:
+        if cfg.n_nodes == 20 and cfg.seed == 10:  # the point's second replication
+            written.extend(sorted(p.name for p in (out / "n_nodes_20").iterdir()))
             raise RuntimeError("disk full")
         return real(cfg)
 
     monkeypatch.setattr(cli_mod, "simulate", exploding)
-    spec = parse_config(FAST + "[sweep]\nn_nodes = 10, 20")
-    spec.output_dir = tmp_path / "out"
+    spec = parse_config(FAST + "replications = 2\n[sweep]\nn_nodes = 10, 20")
+    spec.output_dir = out
     assert run_experiment(spec) == 2
-    assert not (spec.output_dir / "n_nodes_20").exists()
+    assert written == ["sentinel_rep0"]  # the failed point had outputs to remove
+    assert not (out / "n_nodes_20").exists()
+    for rep in ("sentinel_rep0", "sentinel_rep1"):
+        assert sorted(p.name for p in (out / "n_nodes_10" / rep).iterdir()) == [
+            "metrics.csv", "summary.json"
+        ]

@@ -28,6 +28,8 @@ from sentinelsim.engine import (
 )
 from sentinelsim.protocol import NodeState, ProbeReply, ProbeRequest, ProtocolError
 
+from oracles import brute_force_neighbors, spying
+
 
 def small_config(**kw):
     defaults = dict(n_nodes=4, duration=100.0, seed=3, loss_probability=0.0)
@@ -204,22 +206,6 @@ def test_deploy_accepts_overrides_on_the_bounds():
 
 
 # -- neighbour sets --------------------------------------------------------------
-
-
-def brute_force_neighbors(world) -> list[int]:
-    """The oracle: every pair of nodes, with deploy's float distance test, as
-    masks with bit j set for each neighbour j."""
-    nodes = world.nodes
-    r2 = world.config.r_comm * world.config.r_comm
-    adjacency = [0] * len(nodes)
-    for i, a in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            dx = a.x - nodes[j].x
-            dy = a.y - nodes[j].y
-            if dx * dx + dy * dy <= r2:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    return adjacency
 
 
 def masks(sets) -> list[int]:
@@ -791,20 +777,14 @@ def test_a_guard_placed_by_set_state_is_never_woken(force_state):
     assert node.state is NodeState.ACTIVE
 
 
-def test_a_probe_that_spends_the_senders_budget_voids_its_reply_timeout(monkeypatch):
+def test_a_probe_that_spends_the_senders_budget_voids_its_reply_timeout():
     # 1 s asleep costs 3 uJ of the 13 uJ budget, and the 50 uJ probe the rest:
     # the node dies as it transmits, and its timeout at 2 s never fires
     cfg = small_config(n_nodes=1, duration=10.0, initial_energy=1.3e-5)
     world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
     charged_at = []
-    real = World.charge
-
-    def spy(self, node, now):
-        charged_at.append(now)
-        real(self, node, now)
-
-    monkeypatch.setattr(World, "charge", spy)
-    run(world)
+    with spying(World, ["charge"], lambda name, world, node, now: charged_at.append(now)):
+        run(world)
     assert world.probes_sent == 1
     assert world.nodes[0].state is NodeState.DEAD
     # only the wake: nothing charges at the 2 s timeout (the sampler and the

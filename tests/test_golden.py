@@ -19,13 +19,14 @@ and say in the change why they moved.
 import hashlib
 import json
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from sentinelsim import SimConfig, World, deploy, run, summarize
 from sentinelsim.analysis import metrics_to_csv, summary_to_json
+
+from oracles import spying
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
@@ -66,37 +67,14 @@ SCENARIOS = {
 }
 
 
-@contextmanager
-def counting_hooks(counts):
-    """Count calls to World.push (by event kind), World.charge and
-    World.broadcast for the length of the block, then restore the class."""
-    originals = {name: getattr(World, name) for name in ("push", "charge", "broadcast")}
-
-    def push(self, time, kind, payload=None):
-        counts[f"push.{kind.name}"] += 1
-        originals["push"](self, time, kind, payload)
-
-    def charge(self, node, now):
-        counts["charge"] += 1
-        originals["charge"](self, node, now)
-
-    def broadcast(self, sender, msg, start):
-        counts["broadcast"] += 1
-        return originals["broadcast"](self, sender, msg, start)
-
-    wrappers = {"push": push, "charge": charge, "broadcast": broadcast}
-    try:
-        for name, wrapper in wrappers.items():
-            setattr(World, name, wrapper)
-        yield counts
-    finally:
-        for name, original in originals.items():
-            setattr(World, name, original)
-
-
 def run_scenario(name):
     cfg = SimConfig(**SCENARIOS[name])
-    with counting_hooks(Counter()) as counts:
+    counts = Counter()
+
+    def count(hook, world, *args):  # push's args are (time, kind[, payload])
+        counts[f"push.{args[1].name}" if hook == "push" else hook] += 1
+
+    with spying(World, ("push", "charge", "broadcast"), count):
         world = deploy(cfg)
         result = run(world)
     texts = {

@@ -204,24 +204,27 @@ def test_the_check_sees_charge_calls():
 STATE_COPIES = {"_radio_mask", "_guard_mask", "_dead"}
 
 
+def _scoped(tree: ast.AST, scope: str = ""):
+    """(scope, node) for every node below `tree` but class and function
+    definitions, in source order; scope is "Class.method", "" at module level."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scoped(child, f"{scope}.{child.name}" if scope else child.name)
+        else:
+            yield scope, child
+            yield from _scoped(child, scope)
+
+
 def _writers(tree: ast.AST, names: set[str]) -> list[str]:
     """Each assignment to an attribute in `names`, as "enclosing scope: target"."""
     writers = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
-                for target in targets:
-                    for n in ast.walk(target):
-                        if isinstance(n, ast.Attribute) and n.attr in names:
-                            writers.append(f"{scope}: {ast.unparse(n)}")
-            visit(child, scope)
-
-    visit(tree, "")
+    for scope, node in _scoped(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Attribute) and n.attr in names:
+                        writers.append(f"{scope}: {ast.unparse(n)}")
     return writers
 
 
@@ -247,19 +250,11 @@ def test_only_the_radio_and_the_run_write_the_onair_list():
 def _heap_pushers(tree: ast.AST) -> tuple[list[str], list[str]]:
     """The scopes that call `heappush`, and those that read a `_heap` attribute."""
     pushers, readers = set(), set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith("heappush"):
-                pushers.add(scope)
-            if isinstance(child, ast.Attribute) and child.attr == "_heap":
-                readers.add(scope)
-            visit(child, scope)
-
-    visit(tree, "")
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("heappush"):
+            pushers.add(scope)
+        if isinstance(node, ast.Attribute) and node.attr == "_heap":
+            readers.add(scope)
     return sorted(pushers), sorted(readers)
 
 

@@ -9,6 +9,8 @@ from sentinelsim.engine import SimConfig, deploy, run, simulate
 from sentinelsim.peas import matched_rate, on_withdrawal_check, peas_sample_sleep
 from sentinelsim.protocol import NodeState, ProbeReply, SensorNode, change_state
 
+from oracles import spying
+
 
 def test_sample_sleep_examples():
     assert peas_sample_sleep(0.01, math.exp(-1.0)) == pytest.approx(100.0, rel=1e-12)
@@ -59,7 +61,7 @@ def test_reply_within_probing_range_resets_exponential_sleep(force_state):
     assert world.withdrawals == 0
 
 
-def test_reply_handler_is_looked_up_when_the_reply_arrives(monkeypatch, force_state):
+def test_reply_handler_is_looked_up_when_the_reply_arrives(force_state):
     # replacing the policy's handler after deploy reroutes the run's replies
     cfg = SimConfig(
         n_nodes=2, duration=10.0, seed=1, protocol="peas", loss_probability=0.0
@@ -68,14 +70,12 @@ def test_reply_handler_is_looked_up_when_the_reply_arrives(monkeypatch, force_st
     guard, prober = world.nodes
     force_state(world, guard, NodeState.ACTIVE)
     calls = []
-    real = peas_mod.on_probe_reply
 
-    def spy(node, msg, config, now, r):
+    def record(name, node, msg, config, now, r):
         calls.append((node.id, msg.sender_id, config is cfg))
-        return real(node, msg, config, now, r)
 
-    monkeypatch.setattr(peas_mod, "on_probe_reply", spy)
-    run(world)
+    with spying(peas_mod, ["on_probe_reply"], record):
+        run(world)
     assert calls == [(prober.id, guard.id, True)]
     assert prober.state is NodeState.SLEEPING
 

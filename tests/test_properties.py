@@ -5,9 +5,10 @@ uninterrupted ones, and the node each protocol handler is handed."""
 
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from sentinelsim import engine, peas, protocol
 from sentinelsim.analysis import MetricsRecord, coverage_fraction, metrics_to_csv, overhead_report
 from sentinelsim.engine import PROTOCOLS, SimConfig, World, deploy, run, simulate
 from sentinelsim.protocol import NodeState, ProbeRequest
+
+from oracles import brute_force_neighbors, spying
 
 LEDGER_TOLERANCE = 1e-9
 
@@ -91,43 +94,27 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
     assert replay.recoveries == result.recoveries
 
 
-def neighbour_sets(world):
-    """The oracle's adjacency: deploy's float distance test on every pair."""
-    r2 = world.config.r_comm * world.config.r_comm
-    sets = [set() for _ in world.nodes]
-    for a in world.nodes:
-        for b in world.nodes[a.id + 1:]:
-            dx = a.x - b.x
-            dy = a.y - b.y
-            if dx * dx + dy * dy <= r2:
-                sets[a.id].add(b.id)
-                sets[b.id].add(a.id)
-    return sets
-
-
 @settings(max_examples=100, deadline=None)
 @given(configs())
 def test_broadcast_receivers_match_the_radio_set_oracle(cfg):
     """Every frame goes to the in-range nodes whose radio was on when it was
     sent, in id order: the set intersection the radio mask replaced."""
     world = deploy(cfg)
-    neighbours = neighbour_sets(world)
+    neighbours = brute_force_neighbors(world)
     broadcast = World.broadcast
 
     def checked(self, sender, msg, start):
-        radio_on_before = {
-            node.id for node in self.nodes
+        radio_on_before = sum(
+            1 << node.id for node in self.nodes
             if node.state in (NodeState.PROBING, NodeState.ACTIVE)
-        }
+        )
         frame = broadcast(self, sender, msg, start)
-        assert frame.receivers == sorted(radio_on_before & neighbours[sender.id])
+        assert frame.receivers == engine._ids(radio_on_before & neighbours[sender.id])
         return frame
 
-    World.broadcast = checked
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(World, "broadcast", checked)
         run(world)
-    finally:
-        World.broadcast = broadcast
 
 
 class ReferenceRadio:
@@ -262,12 +249,9 @@ def outputs(cfg, stops=(None,)):
 @given(configs())
 def test_sampler_matches_the_per_node_reference(cfg):
     fast = outputs(cfg)
-    sampler = engine._record_sample
-    engine._record_sample = reference_sample
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_record_sample", reference_sample)
         slow = outputs(cfg)
-    finally:
-        engine._record_sample = sampler
     assert fast == slow
 
 
@@ -276,21 +260,8 @@ def call_clocks(*names):
     """Record the clock at each call to the named `World` methods while the
     block runs, per name."""
     clocks = {name: [] for name in names}
-    originals = {name: getattr(World, name) for name in names}
-
-    def recorded(name, method):
-        def wrapper(self, *args):
-            clocks[name].append(self.clock)
-            return method(self, *args)
-        return wrapper
-
-    for name, method in originals.items():
-        setattr(World, name, recorded(name, method))
-    try:
+    with spying(World, names, lambda name, world, *args: clocks[name].append(world.clock)):
         yield clocks
-    finally:
-        for name, method in originals.items():
-            setattr(World, name, method)
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,30 +288,23 @@ def test_a_paused_run_equals_one_uninterrupted_run(cfg, data):
     assert paused_calls == whole_calls
 
 
-HANDLERS = [(protocol, name) for name in ("on_wake", "on_probe_request", "on_probe_reply",
-                                          "on_reply_timeout", "on_withdrawal_check")]
-HANDLERS += [(peas, "on_probe_reply"), (peas, "on_withdrawal_check")]
+HANDLERS = {
+    protocol: ("on_wake", "on_probe_request", "on_probe_reply", "on_reply_timeout",
+               "on_withdrawal_check"),
+    peas: ("on_probe_reply", "on_withdrawal_check"),
+}
 
 
 @contextmanager
 def handler_spies(check):
-    """Call check(name, node) before each protocol and policy handler, patched
-    on its module, for the length of the block."""
-    originals = [(module, name, getattr(module, name)) for module, name in HANDLERS]
-
-    def spied(name, handler):
-        def wrapper(node, *args):
-            check(name, node)
-            return handler(node, *args)
-        return wrapper
-
-    for module, name, handler in originals:
-        setattr(module, name, spied(f"{module.__name__}.{name}", handler))
-    try:
+    """Call check("module.handler", node) before each protocol and policy
+    handler, patched on its module, for the length of the block."""
+    with ExitStack() as stack:
+        for module, names in HANDLERS.items():
+            def before(name, node, *args, prefix=module.__name__):
+                check(f"{prefix}.{name}", node)
+            stack.enter_context(spying(module, names, before))
         yield
-    finally:
-        for module, name, handler in originals:
-            setattr(module, name, handler)
 
 
 # About 0.4 s for the 100 examples (1-4 ms each) on a 2-core x86-64 VM with
@@ -366,4 +330,4 @@ def test_the_handler_spies_see_every_handler():
     for policy in PROTOCOLS:
         with handler_spies(lambda name, node: seen.add(name)):
             simulate(SimConfig(n_nodes=60, duration=300.0, seed=3, protocol=policy))
-    assert seen == {f"{module.__name__}.{name}" for module, name in HANDLERS}
+    assert seen == {f"{m.__name__}.{name}" for m, names in HANDLERS.items() for name in names}

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from sentinelsim.engine import SimConfig
+from sentinelsim.peas import on_probe_reply as peas_on_probe_reply
 from sentinelsim.protocol import (
     ALLOWED_TRANSITIONS,
     NodeState,
@@ -75,15 +76,28 @@ def test_the_node_keeps_no_copy_of_the_budget():
     assert not hasattr(SensorNode, "energy_remaining")
 
 
-@pytest.mark.parametrize(
-    "state", [NodeState.PROBING, NodeState.ACTIVE, NodeState.DEAD], ids=lambda s: s.name
-)
-def test_wake_on_active_node_is_an_invariant_violation(state):
-    # the engine voids a node's wake at every state change, so only a
-    # sleeping node is ever woken
+TIMER, HEARD = (PARAMS, 10.0), (ProbeReply(1, (0.0, 0.0), 5.0), PARAMS, 10.0, 0.5)
+# each handler, its arguments after the node, its error's head, and the one state it takes
+PRECONDITIONS = {
+    "on_wake": (on_wake, TIMER, "wake fired for", NodeState.SLEEPING),
+    "on_probe_reply": (on_probe_reply, HEARD, "probe reply routed to", NodeState.PROBING),
+    "on_reply_timeout": (on_reply_timeout, TIMER, "reply timeout fired for", NodeState.PROBING),
+    "on_withdrawal_check": (on_withdrawal_check, HEARD, "withdrawal check on", NodeState.ACTIVE),
+    "peas.on_probe_reply": (peas_on_probe_reply, HEARD, "probe reply routed to", NodeState.PROBING),
+}
+
+
+@pytest.mark.parametrize("handler,state", [  # the wake cases keep their ids from before
+    pytest.param(h, s, id=s.name if h == "on_wake" else f"{h}-{s.name}")
+    for h, (*_, legal) in PRECONDITIONS.items() for s in NodeState if s is not legal
+])
+def test_wake_on_active_node_is_an_invariant_violation(handler, state):
+    # the engine voids a node's wake at every state change, so only a sleeping
+    # node is ever woken, and routes each other event only to the state it takes
+    function, args, head, _ = PRECONDITIONS[handler]
     node = make_node(state=state, activity_start=0.0)
-    with pytest.raises(ProtocolError, match=f"wake fired for node 0 in state {state.name}"):
-        on_wake(node, PARAMS, 10.0)
+    with pytest.raises(ProtocolError, match=f"{head} node 0 in state {state.name}"):
+        function(node, *args)
     assert node.state is state
 
 
