@@ -211,7 +211,7 @@ class World:
         "probes_sent", "probes_received", "replies_sent", "replies_received",
         "collisions", "withdrawals", "_heap", "_seq", "_onair", "_radio_mask",
         "_guard_mask", "_dead", "_conflicts", "_grid", "_sampled_guards",
-        "_sampled_coverage", "_power", "_finished",
+        "_sampled_coverage", "_power", "_finished", "_airtime",
     )
 
     def __init__(self, config: SimConfig):
@@ -257,6 +257,8 @@ class World:
             NodeState.DEAD: 0.0,
         }
         self._finished = False
+        # every frame's airtime, read once: msg_size and bitrate are fixed by now
+        self._airtime = config.airtime
 
     # -- event queue ---------------------------------------------------------
 
@@ -286,8 +288,9 @@ class World:
             self._sync_state(node, prev, now)
 
     def charge(self, node: SensorNode, now: float) -> None:
-        """Advance the node's state-power integral to `now`, applying death by
-        depletion the moment the budget runs out."""
+        """Advance the node's state-power integral to `now`. A node whose budget
+        ran out since its last charge dies at this charge, not at the moment it
+        ran out: depletion is lazy (see the README's Energy note)."""
         dt = now - node.last_charge_time
         if dt <= 0.0:
             return
@@ -391,7 +394,7 @@ class World:
                 f"frame of node {sender.id} at t={start} starts before clock {self.clock}"
             )
         cfg = self.config
-        end = start + cfg.airtime
+        end = start + self._airtime
         audience = self._radio_mask & self.neighbor_masks[sender.id]
         random = self.rng.random
         loss = cfg.loss_probability

@@ -11,11 +11,12 @@ state directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
-from .scheduling import sample_sleep_time, update_probe_rate, weibull_params
+# The two reference functions stay bound here: benchmark/tracer.py wraps them by name.
+from .scheduling import adapt_and_draw, sample_sleep_time, update_probe_rate  # noqa: F401
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -102,6 +103,10 @@ class SensorNode:
     spent_rx: float = 0.0             # J, per-message receive costs
     spent_total: float = 0.0          # J, all of the above in charge order
     last_charge_time: float = 0.0
+    request: ProbeRequest = field(init=False, repr=False, compare=False)  # every probe sends it
+
+    def __post_init__(self) -> None:
+        self.request = ProbeRequest(self.id)
 
     @property
     def position(self) -> tuple[float, float]:
@@ -141,19 +146,9 @@ def go_to_sleep(node: SensorNode, now: float, t_s: float) -> None:
 def _adapt_and_sleep(node: SensorNode, config: SimConfig, now: float, r: float) -> None:
     """Refresh the probe rate from the network age, then sleep for a Weibull
     duration at the new rate drawn with the uniform r."""
-    node.probe_rate = update_probe_rate(
-        node.probe_rate,
-        now,
-        config.beta,
-        lambda_min=config.lambda_min,
-        lambda_max=config.lambda_max,
-    )
-    weib = weibull_params(1.0 / node.probe_rate, config.beta)
-    t_s = sample_sleep_time(
-        weib,
-        r,
-        t_min=config.t_sleep_min,
-        t_max=config.t_sleep_max_scale * weib.alpha,
+    node.probe_rate, t_s = adapt_and_draw(
+        node.probe_rate, now, config.beta, r, config.lambda_min, config.lambda_max,
+        config.t_sleep_min, config.t_sleep_max_scale,
     )
     go_to_sleep(node, now, t_s)
 
@@ -175,7 +170,7 @@ def on_wake(node: SensorNode, config: SimConfig, now: float) -> ProbeRequest:
         )
     change_state(node, _PROBING)
     node.probes_sent_this_round = 1
-    return ProbeRequest(node.id)
+    return node.request
 
 
 def on_probe_request(node: SensorNode, msg: ProbeRequest, now: float) -> ProbeReply | None:
@@ -222,7 +217,7 @@ def on_reply_timeout(node: SensorNode, config: SimConfig, now: float) -> ProbeRe
         )
     if node.probes_sent_this_round < config.k_probes:
         node.probes_sent_this_round += 1
-        return ProbeRequest(node.id)
+        return node.request
     change_state(node, _ACTIVE)
     node.activity_start = now
     node.probes_sent_this_round = 0

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 # Default probe-rate bounds. The hazard update grows without bound as time
 # advances, so callers clamp the result to keep nodes schedulable.
@@ -37,12 +36,6 @@ class WeibullParams:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
-# WeibullParams is frozen, so one instance serves every sleep at the same rate
-# and shape; most cycles sleep at lambda_max. A failed construction is not
-# cached and raises again on the next call.
-weibull_params = lru_cache(maxsize=16)(WeibullParams)
-
-
 def weibull_survival(t: float, params: WeibullParams) -> float:
     """Survival function S(t) = exp(-(t/alpha)^beta)."""
     if t < 0:
@@ -69,12 +62,15 @@ def sample_sleep_time(
     cross (tiny alpha) the ceiling wins. r is the survival probability of the
     drawn duration, so smaller r means longer sleep.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie in the open interval (0, 1), got {r}")
-    raw = params.alpha * math.log(1.0 / r) ** (1.0 / params.beta)
     if t_max is None:
         t_max = T_SLEEP_MAX_SCALE * params.alpha
-    return min(max(raw, t_min), t_max)
+    return _draw(params.alpha, params.beta, r, t_min, t_max)
+
+
+def _draw(alpha: float, beta: float, r: float, t_min: float, t_max: float) -> float:
+    if not (0.0 < r < 1.0):
+        raise ValueError(f"r must lie in the open interval (0, 1), got {r}")
+    return min(max(alpha * math.log(1.0 / r) ** (1.0 / beta), t_min), t_max)
 
 
 def hazard_rate(t: float, params: WeibullParams) -> float:
@@ -83,12 +79,19 @@ def hazard_rate(t: float, params: WeibullParams) -> float:
     Constant at 1/alpha for beta = 1; increasing in t for beta > 1 (zero at
     t = 0); unbounded at t = 0 for beta < 1.
     """
+    return _hazard(t, params.alpha, params.beta)
+
+
+def _hazard(t: float, alpha: float, beta: float) -> float:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    alpha, beta = params.alpha, params.beta
-    if t == 0.0 and beta < 1.0:
+    x = t / alpha
+    if x == 0.0 and beta < 1.0:  # t = 0, or a t so small that t / alpha underflows
         return math.inf
-    return (beta / alpha) * (t / alpha) ** (beta - 1.0)
+    try:
+        return (beta / alpha) * x ** (beta - 1.0)
+    except OverflowError:  # the hazard is past the largest float
+        return math.inf
 
 
 def update_probe_rate(
@@ -109,5 +112,18 @@ def update_probe_rate(
     """
     if not (lambda_old > 0 and math.isfinite(lambda_old)):
         raise ValueError(f"lambda_old must be positive and finite, got {lambda_old}")
-    params = weibull_params(1.0 / lambda_old, beta)
-    return min(max(hazard_rate(t_network, params), lambda_min), lambda_max)
+    if not (beta > 0 and math.isfinite(beta)):  # WeibullParams' check, with no params built
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    return min(max(_hazard(t_network, 1.0 / lambda_old, beta), lambda_min), lambda_max)
+
+
+def adapt_and_draw(
+    rate: float, t_network: float, beta: float, r: float,
+    lambda_min: float, lambda_max: float, t_min: float, t_max_scale: float,
+) -> tuple[float, float]:
+    """A redundancy proof's update_probe_rate, then its sample_sleep_time draw at scale
+    alpha = 1/rate up to t_max_scale * alpha, in one step with no WeibullParams built.
+    Returns (rate, sleep), with their floats and their checks."""
+    rate = update_probe_rate(rate, t_network, beta, lambda_min=lambda_min, lambda_max=lambda_max)
+    alpha = 1.0 / rate
+    return rate, _draw(alpha, beta, r, t_min, t_max_scale * alpha)

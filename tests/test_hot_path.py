@@ -22,19 +22,24 @@ only the run marks a world finished.
 
 The run's one event loop charges each receiver of a frame inline the same
 way, and reads the config only through the locals it binds before the loop.
+
+A redundancy proof's rate update and sleep draw build no `WeibullParams`, and
+every probe a node sends is the one `ProbeRequest` it was built with.
 """
 
 import ast
 import dataclasses
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from sentinelsim import engine, peas, protocol
+from sentinelsim import engine, peas, protocol, scheduling
 from sentinelsim.analysis import MetricsRecord
 from sentinelsim.engine import Frame, SimConfig, deploy, simulate
-from sentinelsim.protocol import ProbeRequest
+from sentinelsim.protocol import NodeState, ProbeRequest, SensorNode
+from sentinelsim.scheduling import WeibullParams
 
 ENUMS = {"NodeState", "EventKind"}
 
@@ -55,6 +60,7 @@ PER_EVENT = [
     *[(protocol, name) for name in (*HANDLERS, "go_to_sleep", "_adapt_and_sleep")],
     (peas, "on_probe_reply"),
     (peas, "on_withdrawal_check"),
+    *[(scheduling, name) for name in ("adapt_and_draw", "update_probe_rate", "_hazard", "_draw")],
 ]
 
 
@@ -337,3 +343,58 @@ def test_metrics_rows_are_slotted_and_frozen():
     assert isinstance(row, MetricsRecord) and not hasattr(row, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         row.time = 1.0
+
+
+def _reached_calls(fn) -> set[str]:
+    """The name of every call in fn, and in each sentinelsim function those
+    calls reach, found by walking their source."""
+    names, seen, todo = set(), set(), [fn]
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(f)))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name, callee = func.id, f.__globals__.get(func.id)
+            elif isinstance(func, ast.Attribute):  # resolved only on a module
+                owner = f.__globals__.get(getattr(func.value, "id", None))
+                name = func.attr
+                callee = getattr(owner, name, None) if inspect.ismodule(owner) else None
+            else:
+                continue
+            names.add(name)
+            if inspect.isfunction(callee) and callee.__module__.startswith("sentinelsim."):
+                todo.append(callee)
+    return names
+
+
+def test_the_proof_sleep_builds_no_weibull_params():
+    reached = _reached_calls(protocol._adapt_and_sleep)
+    assert {"adapt_and_draw", "update_probe_rate", "_hazard", "_draw"} <= reached
+    assert {"WeibullParams", "weibull_params"}.isdisjoint(reached)
+
+
+def _sleep_through_params(node, config, now, r):
+    params = WeibullParams(1.0 / node.probe_rate, config.beta)
+    return scheduling.sample_sleep_time(params, r)
+
+
+def test_the_check_sees_weibull_params():
+    reached = _reached_calls(_sleep_through_params)
+    assert {"WeibullParams", "sample_sleep_time", "_draw"} <= reached
+
+
+def test_every_probe_of_a_node_is_its_one_request():
+    config = SimConfig()
+    node = SensorNode(id=7, x=0.0, y=0.0)
+    first = protocol.on_wake(node, config, 1.0)
+    retries = [protocol.on_reply_timeout(node, config, 2.0 + k) for k in range(config.k_probes - 1)]
+    assert first == ProbeRequest(7)
+    assert all(retry is first for retry in retries)
+    assert node.state is NodeState.PROBING
+    protocol.go_to_sleep(node, 5.0, 1.0)
+    assert protocol.on_wake(node, config, 6.0) is first

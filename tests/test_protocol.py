@@ -23,12 +23,7 @@ from sentinelsim.protocol import (
     on_withdrawal_check,
     scan_check,
 )
-from sentinelsim.scheduling import (
-    WeibullParams,
-    sample_sleep_time,
-    update_probe_rate,
-    weibull_params,
-)
+from sentinelsim.scheduling import WeibullParams, sample_sleep_time, update_probe_rate
 
 PARAMS = SimConfig()
 
@@ -275,7 +270,7 @@ def test_sleep_at_the_rate_ceiling_matches_a_fresh_weibull_draw(r):
     t_s = sample_sleep_time(
         weib, r, t_min=PARAMS.t_sleep_min, t_max=PARAMS.t_sleep_max_scale * weib.alpha
     )
-    for _ in range(2):  # the second sleep reuses the shared params
+    for _ in range(2):  # the second sleep at the same rate draws the same
         node = _probing_node()
         _adapt_and_sleep(node, PARAMS, now, r)
         assert node.probe_rate == PARAMS.lambda_max
@@ -287,10 +282,7 @@ def test_bad_shape_fails_with_the_weibull_message_every_time(beta):
     with pytest.raises(ValueError) as fresh:
         WeibullParams(alpha=1.0, beta=beta)
     message = str(fresh.value)
-    for _ in range(2):  # a failed construction is not cached
-        with pytest.raises(ValueError) as shared:
-            weibull_params(1.0, beta)
-        assert str(shared.value) == message
+    for _ in range(2):
         with pytest.raises(ValueError) as sleep:
             _adapt_and_sleep(_probing_node(), replace(PARAMS, beta=beta), 100.0, 0.5)
         assert str(sleep.value) == message

@@ -4,9 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sentinelsim.scheduling import (
     WeibullParams,
+    adapt_and_draw,
     hazard_rate,
     sample_sleep_time,
     update_probe_rate,
@@ -105,6 +108,10 @@ def test_hazard_examples():
 def test_hazard_edge_cases():
     assert hazard_rate(0.0, WeibullParams(10.0, 2.0)) == 0.0
     assert hazard_rate(0.0, WeibullParams(10.0, 0.5)) == math.inf
+    # t / alpha underflows to 0, or the power overflows: still the unbounded hazard
+    assert hazard_rate(5e-324, WeibullParams(2.0, 0.5)) == math.inf
+    assert hazard_rate(1e-320, WeibullParams(1.0, 0.01)) == math.inf
+    assert hazard_rate(1e300, WeibullParams(1e-3, 4.0)) == math.inf
     with pytest.raises(ValueError):
         hazard_rate(-1.0, WeibullParams(10.0, 2.0))
 
@@ -191,3 +198,72 @@ def test_empirical_cdf_tracks_analytic_cdf():
         for _ in range(20_000)
     ]
     assert ks_statistic(draws, lambda t: weibull_cdf(t, params)) < 0.02
+
+
+# -- one step: a redundancy proof's rate update and sleep draw -----------------
+
+
+def two_steps(rate, t, beta, r, lambda_min, lambda_max, t_min, t_max_scale):
+    """The reference: the rate update, then a draw from a fresh WeibullParams."""
+    rate = update_probe_rate(rate, t, beta, lambda_min=lambda_min, lambda_max=lambda_max)
+    params = WeibullParams(1.0 / rate, beta)
+    return rate, sample_sleep_time(params, r, t_min=t_min, t_max=t_max_scale * params.alpha)
+
+
+@st.composite
+def proofs(draw):
+    """Arguments of one proof: the hazard falls below, inside and above the
+    rate clamps, and t = 0, beta = 1 and beta < 1 all occur."""
+    lambda_min = draw(st.floats(1e-4, 1.0))
+    lambda_max = draw(st.floats(lambda_min, 20.0))
+    return (
+        draw(st.floats(1e-4, 20.0)),
+        draw(st.one_of(st.just(0.0), st.floats(0.0, 1e5))),
+        draw(st.one_of(st.just(1.0), st.floats(0.2, 5.0))),
+        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        lambda_min,
+        lambda_max,
+        draw(st.floats(0.0, 5.0)),
+        draw(st.floats(0.5, 20.0)),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(proofs())
+@example((0.01, 0.0, 2.0, 0.5, 1e-3, 0.05, 1.0, 10.0))  # at the floor: h(0) = 0
+@example((0.01, 100.0, 2.0, 0.5, 1e-3, 0.05, 1.0, 10.0))  # between the clamps
+@example((0.05, 5000.0, 2.0, 0.5, 1e-3, 0.05, 1.0, 10.0))  # at the cap
+@example((0.01, 300.0, 1.0, 0.5, 1e-3, 0.05, 1.0, 10.0))  # beta = 1 keeps the rate
+@example((0.01, 0.0, 0.5, 0.5, 1e-3, 0.05, 1.0, 10.0))  # beta < 1 at t = 0: h = inf
+@example((0.5, 5e-324, 0.5, 0.5, 1.0, 1.0, 0.0, 1.0))  # beta < 1, t / alpha underflows: h = inf
+@example((0.03, 5000.0, 2.0, 1e-300, 1e-3, 0.03, 1.0, 10.0))  # r near 0: the ceiling
+@example((0.05, 5000.0, 2.0, 1.0 - 1e-12, 1e-3, 0.05, 1.0, 10.0))  # r near 1: the floor
+@example((0.01, 5000.0, 2.0, 0.5, 1e-3, 15.0, 2.0, 10.0))  # crossed sleep bounds
+def test_one_step_equals_the_update_then_the_draw(args):
+    assert adapt_and_draw(*args) == two_steps(*args)
+
+
+GOOD = dict(rate=0.01, t=100.0, beta=2.0, r=0.5, lambda_min=1e-3, lambda_max=0.05,
+            t_min=1.0, t_max_scale=10.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        *[{"beta": beta} for beta in (0.0, -1.0, math.inf, math.nan)],
+        *[{"rate": rate} for rate in (0.0, -0.01, math.inf, math.nan)],
+        *[{"r": r} for r in (0.0, 1.0, -0.3, 1.5, math.nan)],
+        {"t": -1.0},
+        {"beta": 0.0, "r": 0.0},  # the first check to fail names its argument
+        {"rate": 0.0, "beta": 0.0},
+        {"t": -1.0, "r": 1.0},
+    ],
+    ids=repr,
+)
+def test_one_step_raises_the_two_steps_errors(bad):
+    args = [{**GOOD, **bad}[name] for name in GOOD]
+    with pytest.raises(ValueError) as reference:
+        two_steps(*args)
+    with pytest.raises(ValueError) as one_step:
+        adapt_and_draw(*args)
+    assert str(one_step.value) == str(reference.value)
