@@ -1,9 +1,12 @@
-"""The brute-force oracles that several test files check against, and one way
-to spy on calls. Pytest collects nothing here; tests import it as `oracles`."""
+"""The brute-force oracles that several test files check against, one record
+of a run's outputs, and one way to spy on calls. Pytest collects nothing here;
+tests import it as `oracles`."""
 
 from contextlib import contextmanager
 
 import pytest
+
+from sentinelsim.analysis import metrics_to_csv
 
 
 def brute_force_fraction(positions, r_sense, width, height, resolution):
@@ -47,6 +50,20 @@ def brute_force_neighbors(world) -> list[int]:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return adjacency
+
+
+def run_texts(world) -> dict[str, str]:
+    """A finished run's outputs as exact text: the metrics CSV, each node's
+    energy ledger, whose split into state, transmit and receive costs the CSV
+    does not show, and the run logs (activations, conflict ages, false
+    activations and hole recoveries), which no output file shows in full."""
+    result = world.result
+    ledger = "".join(
+        f"{n.spent_state!r},{n.spent_tx!r},{n.spent_rx!r},{n.spent_total!r}\n" for n in world.nodes
+    )
+    logs = (result.activations, result.conflict_ages, sorted(result.false_activation_ids),
+            result.recoveries)
+    return {"metrics_csv": metrics_to_csv(result.rows), "ledger": ledger, "logs": repr(logs)}
 
 
 @contextmanager

@@ -206,9 +206,7 @@ def test_lossless_cluster_accounting(force_state):
     assert world.probes_received == 3  # receivers in range x sent requests
     assert world.replies_sent == 3
     assert world.replies_received == 1  # first answer wins, radio off after
-    report = overhead_report(result)
-    assert report.replies_conserved
-    assert report.sent_vs_received_requests[-1] == (1, 3)
+    assert overhead_report(result).replies_conserved
 
 
 def test_serialized_reply_conservation(force_state):
@@ -228,8 +226,6 @@ def test_near_total_loss_blanks_the_receive_counters():
     result = simulate(cfg)
     assert result.rows[-1].probes_received == 0
     assert result.rows[-1].replies_received == 0
-    report = overhead_report(result)
-    assert report.received_requests_vs_replies[-1] == (0, 0)
 
 
 def test_dense_run_counter_relationships():

@@ -86,6 +86,9 @@ def test_sweep_section():
 def test_failure_injection_parsing():
     spec = parse_config("n_nodes = 50\nfailure_injections = 12@1000, 40@4000")
     assert spec.base.failure_injections == [(12, 1000.0), (40, 4000.0)]
+    # an empty entry, as after a trailing comma, is skipped
+    spec = parse_config("n_nodes = 50\nfailure_injections = 12@1000,")
+    assert spec.base.failure_injections == [(12, 1000.0)]
     with pytest.raises(ConfigError):
         parse_config("failure_injections = 12:1000")
     # unknown node id and out-of-duration times die at validation

@@ -160,6 +160,20 @@ def test_ints_and_numpy_numbers_pass_as_their_field_types():
     ).rows
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [
+        dict(beta=0.5, lambda_init=1e-320, lambda_min=1e-320),
+        dict(protocol="peas", lambda_peas=1e-320),
+    ],
+    ids=["sentinel", "peas"],
+)
+def test_a_rate_whose_reciprocal_overflows_runs_to_the_end(rates):
+    # validation takes any positive rate; the mean sleep 1 / rate is then inf
+    result = simulate(SimConfig(n_nodes=30, duration=200.0, seed=3, **rates))
+    assert result.rows[-1].time == 200.0
+
+
 # -- deployment ----------------------------------------------------------------
 
 

@@ -1,9 +1,7 @@
 """Golden outputs: sha256 digests of the metrics CSV and the summary JSON of a
 few fixed runs, so a change meant to keep behaviour proves it kept every byte
-(and, through the outputs, every RNG draw). A third digest covers each node's
-energy ledger, whose split into state, transmit and receive costs the CSV does
-not show; a fourth covers the run logs (activations, conflict ages, false
-activations and hole recoveries), which no output file shows in full. A fifth
+(and, through the outputs, every RNG draw). A third and a fourth digest cover
+the energy ledger and the run logs that `oracles.run_texts` records. A fifth
 covers how often the run called `World.push` (by event kind), `World.charge`
 and `World.broadcast`, the hooks the benchmark counts; the push count is the
 numerator of its events per second.
@@ -13,7 +11,8 @@ outputs on purpose, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change why they moved.
+and say in the change why they moved: it prints each scenario.key whose
+digest changed, or that none did.
 """
 
 import hashlib
@@ -24,9 +23,9 @@ from pathlib import Path
 import pytest
 
 from sentinelsim import SimConfig, World, deploy, run, summarize
-from sentinelsim.analysis import metrics_to_csv, summary_to_json
+from sentinelsim.analysis import summary_to_json
 
-from oracles import spying
+from oracles import run_texts, spying
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
@@ -78,20 +77,8 @@ def run_scenario(name):
         world = deploy(cfg)
         result = run(world)
     texts = {
-        "metrics_csv": metrics_to_csv(result.rows),
+        **run_texts(world),
         "summary_json": summary_to_json(summarize(result), cfg),
-        "ledger": "".join(
-            f"{n.spent_state!r},{n.spent_tx!r},{n.spent_rx!r},{n.spent_total!r}\n"
-            for n in world.nodes
-        ),
-        "logs": repr(
-            (
-                result.activations,
-                result.conflict_ages,
-                sorted(result.false_activation_ids),
-                result.recoveries,
-            )
-        ),
         "calls": json.dumps(counts, sort_keys=True),
     }
     return result, {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
@@ -114,6 +101,10 @@ def test_every_scenario_has_a_recorded_digest():
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     table = {name: run_scenario(name)[1] for name in sorted(SCENARIOS)}
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {DIGESTS}")
+    keys = {(name, key) for digests in (old, table) for name in digests for key in digests[name]}
+    moved = sorted(f"{n}.{k}" for n, k in keys if old.get(n, {}).get(k) != table.get(n, {}).get(k))
+    print("changed: " + ", ".join(moved) if moved else "no digest changed")

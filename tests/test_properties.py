@@ -17,7 +17,7 @@ from sentinelsim.analysis import MetricsRecord, coverage_fraction, metrics_to_cs
 from sentinelsim.engine import PROTOCOLS, SimConfig, World, deploy, run, simulate
 from sentinelsim.protocol import NodeState, ProbeRequest
 
-from oracles import brute_force_neighbors, spying
+from oracles import brute_force_neighbors, run_texts, spying
 
 LEDGER_TOLERANCE = 1e-9
 
@@ -229,20 +229,12 @@ def reference_sample(world, now):
 
 
 def outputs(cfg, stops=(None,)):
-    """A run's metrics CSV, energy ledgers and logs, each as exact text, and
-    its generator's final state. The run is one `run` call per stop, the last
-    of which is None or the duration."""
+    """A run's outputs as exact text (`run_texts`) and its generator's final state.
+    The run is one `run` call per stop, the last of which is None or the duration."""
     world = deploy(cfg)
     for until in stops:
-        result = run(world, until)
-    ledger = [(n.spent_state, n.spent_tx, n.spent_rx, n.spent_total) for n in world.nodes]
-    logs = (
-        result.activations,
-        result.conflict_ages,
-        sorted(result.false_activation_ids),
-        result.recoveries,
-    )
-    return metrics_to_csv(result.rows), repr(ledger), repr(logs), world.rng.getstate()
+        run(world, until)
+    return run_texts(world), world.rng.getstate()
 
 
 @settings(max_examples=100, deadline=None)

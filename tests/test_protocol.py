@@ -218,6 +218,16 @@ def test_distant_guards_do_not_conflict():
     assert on_withdrawal_check(node, reply, PARAMS, now, r=0.5) is False
 
 
+def test_a_guard_ignores_its_own_reply():
+    # the engine never hands a node its own reply, as no node is its own
+    # neighbour; from another guard, this reply would make the node withdraw
+    now = 100.0
+    node = _active_node(nid=2, x=0.0, started=now - 5.0)
+    reply = ProbeReply(sender_id=2, sender_position=(0.0, 0.0), activity_age=12.0)
+    assert on_withdrawal_check(node, reply, PARAMS, now, r=0.5) is False
+    assert node.state is NodeState.ACTIVE
+
+
 def test_age_tie_breaks_on_higher_id():
     now = 100.0
     hi = _active_node(nid=5, x=0.0, started=now - 7.0)
