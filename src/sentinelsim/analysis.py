@@ -12,6 +12,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import Sequence
 
 #: Marker for a coverage hole never refilled within the run.
@@ -279,16 +280,15 @@ def format_csv_value(value: float) -> str:
 
 # Each column's format is its MetricsRecord annotation's, not its value's type:
 # a library caller may pass an int time, and a run without nodes sums to the int 0.
-_CSV_FORMATS = tuple(format_csv_value if f.type == "float" else str for f in fields(MetricsRecord))
+# "%.6f" renders a value as format_csv_value does.
+_CSV_ROW = ",".join("%.6f" if f.type == "float" else "%s" for f in fields(MetricsRecord))
+_csv_cells = attrgetter(*CSV_COLUMNS)
 
 
 def metrics_to_csv(rows: Sequence[MetricsRecord]) -> str:
     """Render the metric log as CSV text with a header row and \\n newlines."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(fmt(getattr(row, col)) for fmt, col in zip(_CSV_FORMATS, CSV_COLUMNS))
-        )
+    lines += [_CSV_ROW % _csv_cells(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ replay identical runs. Concurrency is only sensible across worlds.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import random
@@ -514,13 +515,36 @@ def deploy(
         )
         world.nodes.append(node)
 
+    # A list of the world's own: changing it changes no other world's masks.
+    world.neighbor_masks = list(
+        _neighbor_masks(tuple((node.x, node.y) for node in world.nodes), config.r_comm)
+    )
+
+    for node in world.nodes:
+        world.push(node.wake_deadline, EventKind.WAKE, (node.id, node.timer_token))
+    # Hardware failures: the node dies at its time regardless of its remaining
+    # energy. Killing an already dead node is a no-op at run time.
+    for node_id, when in config.failure_injections:
+        world.push(when, EventKind.FAILURE_INJECTION, node_id)
+    world.push(config.duration, _END)  # and sample 0, unless the closing one takes its place
+    _queue_sample(world, 0)
+    return world
+
+
+# One entry: the two runs of a paired seed deploy the same field one after
+# the other, so the second reuses the first's masks. The key is the field
+# alone; no RNG or run state goes in or comes out.
+@functools.lru_cache(maxsize=1)
+def _neighbor_masks(coords: tuple[tuple[float, float], ...], r_comm: float) -> tuple[int, ...]:
+    """Bit j of the i-th mask is set when coords[j] is within r_comm of coords[i]."""
     # Sweep line: walk each node's successors in x order and stop at the first
     # whose x gap alone exceeds r_comm. Along that order dx * dx only grows, so
     # no later node can pass the distance test, which is the same float test
     # for every pair that reaches it. A node's neighbours are the set bits of
     # one int, n bits wide, where a frozenset would take a hash slot each.
-    r2 = config.r_comm * config.r_comm
-    swept = sorted((node.x, node.y, node.id) for node in world.nodes)
+    n = len(coords)
+    r2 = r_comm * r_comm
+    swept = sorted((x, y, i) for i, (x, y) in enumerate(coords))
     bits = [1 << j for j in range(n)]
     adjacency = [0] * n
     for a, (xi, yi, i) in enumerate(swept):
@@ -535,17 +559,7 @@ def deploy(
                 near |= bits[j]
                 adjacency[j] |= bits[i]
         adjacency[i] |= near
-    world.neighbor_masks = adjacency
-
-    for node in world.nodes:
-        world.push(node.wake_deadline, EventKind.WAKE, (node.id, node.timer_token))
-    # Hardware failures: the node dies at its time regardless of its remaining
-    # energy. Killing an already dead node is a no-op at run time.
-    for node_id, when in config.failure_injections:
-        world.push(when, EventKind.FAILURE_INJECTION, node_id)
-    world.push(config.duration, _END)  # and sample 0, unless the closing one takes its place
-    _queue_sample(world, 0)
-    return world
+    return tuple(adjacency)
 
 
 def _queue_sample(world: World, k: int) -> None:

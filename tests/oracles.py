@@ -3,10 +3,11 @@ of a run's outputs, and one way to spy on calls. Pytest collects nothing here;
 tests import it as `oracles`."""
 
 from contextlib import contextmanager
+from dataclasses import fields
 
 import pytest
 
-from sentinelsim.analysis import metrics_to_csv
+from sentinelsim.analysis import CSV_COLUMNS, MetricsRecord, format_csv_value, metrics_to_csv
 
 
 def brute_force_fraction(positions, r_sense, width, height, resolution):
@@ -50,6 +51,16 @@ def brute_force_neighbors(world) -> list[int]:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return adjacency
+
+
+def cell_by_cell_csv(rows) -> str:
+    """The reference metrics CSV: each cell in its own call, format_csv_value
+    for a float-annotated column and str for the rest."""
+    formats = [format_csv_value if f.type == "float" else str for f in fields(MetricsRecord)]
+    lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(fmt(getattr(row, col)) for fmt, col in zip(formats, CSV_COLUMNS)))
+    return "\n".join(lines) + "\n"
 
 
 def run_texts(world) -> dict[str, str]:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sentinelsim.protocol as protocol_mod
-from sentinelsim.analysis import CoverageGrid, coverage_fraction, metrics_to_csv
+from sentinelsim import cli, engine
+from sentinelsim.analysis import CoverageGrid, MetricsRecord, coverage_fraction, metrics_to_csv
 from sentinelsim.engine import (
     EventKind,
     SimConfig,
@@ -28,7 +29,7 @@ from sentinelsim.engine import (
 )
 from sentinelsim.protocol import NodeState, ProbeReply, ProbeRequest, ProtocolError
 
-from oracles import brute_force_neighbors, spying
+from oracles import brute_force_neighbors, cell_by_cell_csv, spying
 
 
 def small_config(**kw):
@@ -287,6 +288,48 @@ def test_neighbor_sets_of_degenerate_fields(positions, r_comm, expected):
     world = placed(positions, r_comm=r_comm)
     assert world.neighbor_masks == masks(expected)
     assert world.neighbor_masks == brute_force_neighbors(world)
+
+
+def test_deploys_of_one_field_get_equal_masks_in_lists_of_their_own():
+    engine._neighbor_masks.cache_clear()
+    cfg = SimConfig(n_nodes=60, seed=5)
+    first, second = deploy(cfg), deploy(dataclasses.replace(cfg, protocol="peas"))
+    assert engine._neighbor_masks.cache_info()[:2] == (1, 1)  # hits, misses
+    expected = brute_force_neighbors(first)
+    assert first.neighbor_masks == second.neighbor_masks == expected
+    assert first.neighbor_masks is not second.neighbor_masks
+    first.neighbor_masks[0] ^= 0b10
+    first.neighbor_masks.append(1)
+    assert second.neighbor_masks == expected
+    assert deploy(cfg).neighbor_masks == expected
+
+
+def test_another_r_comm_on_the_same_field_builds_its_own_masks():
+    engine._neighbor_masks.cache_clear()
+    cfg = SimConfig(n_nodes=60, seed=5)
+    deploy(cfg)
+    world = deploy(dataclasses.replace(cfg, r_comm=12.0))
+    assert engine._neighbor_masks.cache_info()[:2] == (0, 2)
+    assert world.neighbor_masks == brute_force_neighbors(world)
+
+
+def test_at_most_one_field_stays_cached():
+    for seed in range(3):
+        deploy(SimConfig(n_nodes=20, seed=seed))
+    info = engine._neighbor_masks.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+
+
+def test_a_paired_sweep_builds_each_seeds_masks_once(tmp_path):
+    path = tmp_path / "paired.cfg"
+    path.write_text(f"n_nodes = 30\nduration = 20\nprotocol = both\nreplications = 2\n"
+                    f"output_dir = {tmp_path / 'out'}\n")
+    engine._neighbor_masks.cache_clear()
+    calls = []
+    with spying(engine, ["_neighbor_masks"], lambda name, coords, r_comm: calls.append(coords)):
+        assert cli.main(["--config", str(path)]) == 0
+    assert len(calls) == 4 and len(set(calls)) == 2
+    assert engine._neighbor_masks.cache_info()[:2] == (2, 2)  # built twice, not four times
 
 
 def test_neighbour_masks_stay_small_in_a_400_node_deploy():
@@ -890,6 +933,25 @@ def test_csv_formats_each_column_by_its_annotation():
     cells = [line.split(",") for line in metrics_to_csv(rows).splitlines()[1:]]
     assert [c[0] for c in cells] == ["0.000000", "10.000000", "20.000000", "30.000000"]
     assert {c[5] for c in cells} == {"0.000000"}
+
+
+FLOAT_COLUMNS = {f.name for f in dataclasses.fields(MetricsRecord) if f.type == "float"}
+# what a float-annotated cell may hold: int times and the int-0 total, -0.0,
+# nan, the infinities and magnitudes up to the largest float
+float_cells = st.one_of(
+    st.floats(), st.integers(-(10**300), 10**300), st.sampled_from([0, -0.0, 1e300, -1.7e308])
+)
+metrics_rows = st.lists(st.builds(MetricsRecord, **{
+    f.name: float_cells if f.name in FLOAT_COLUMNS else st.integers(-(10**30), 10**30)
+    for f in dataclasses.fields(MetricsRecord)
+}), max_size=5)
+
+
+# About 1 s for the 200 examples on a 2-core x86-64 VM with CPython 3.11.7.
+@settings(max_examples=200, deadline=None)
+@given(metrics_rows)
+def test_csv_rows_render_as_the_cell_by_cell_reference(rows):
+    assert metrics_to_csv(rows) == cell_by_cell_csv(rows)
 
 
 def test_runs_are_deterministic():

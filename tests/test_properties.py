@@ -1,8 +1,10 @@
 """Post-run engine invariants over small random configs, both policies, the
 radio against the per-receiver lists it replaced, the metrics sampler
 against the per-node reference it replaced, paused runs against
-uninterrupted ones, and the node each protocol handler is handed."""
+uninterrupted ones, the node each protocol handler is handed, and false
+activations on a clean channel."""
 
+import math
 import random
 import sys
 from contextlib import ExitStack, contextmanager
@@ -323,3 +325,53 @@ def test_the_handler_spies_see_every_handler():
         with handler_spies(lambda name, node: seen.add(name)):
             simulate(SimConfig(n_nodes=60, duration=300.0, seed=3, protocol=policy))
     assert seen == {f"{m.__name__}.{name}" for m, names in HANDLERS.items() for name in names}
+
+
+clean_channel_configs = st.builds(
+    SimConfig,
+    n_nodes=st.integers(2, 60),
+    duration=st.floats(10.0, 300.0),
+    seed=st.integers(0, 2**16),
+    protocol=st.sampled_from(PROTOCOLS),
+    collisions=st.just(False),
+    loss_probability=st.just(0.0),
+    delta=st.floats(1.0, 20.0),  # <= r_comm: a guard within delta hears every probe
+    k_probes=st.integers(1, 3),
+    ts_initial=st.floats(0.5, 10.0),  # short first sleeps make more races
+)
+
+
+# 0.4-0.7 s for the 100 examples on a 2-core x86-64 VM with CPython 3.11.7.
+@settings(max_examples=100, deadline=None)
+@given(clean_channel_configs)
+def test_a_clean_channel_activates_within_delta_of_a_guard_only_in_a_race(cfg):
+    """With no loss and no collisions, a guard within delta answers each probe
+    it hears and the prober hears the answer, which sends it to sleep. So a
+    node goes on duty within delta of a guard only if every such guard went
+    on duty after the node's last probe reached it, and at or before the node
+    did. A guard that went on duty at the arrival time itself counts: its
+    step may run after the delivery, which then found it still probing."""
+    world = deploy(cfg)
+    reached = {}  # node id -> the time its last probe reached its receivers
+    races = []  # (node id, time on duty, its last probe's arrival, guards' duty starts)
+
+    def before(name, world, node, *args):
+        if name == "broadcast":
+            msg, start = args
+            if isinstance(msg, ProbeRequest):
+                reached[node.id] = start + cfg.airtime
+            return
+        now, = args
+        starts = [
+            guard.activity_start for guard in world.nodes
+            if guard is not node and guard.state is NodeState.ACTIVE
+            and math.hypot(node.x - guard.x, node.y - guard.y) <= cfg.delta
+        ]
+        if starts:
+            races.append((node.id, now, reached[node.id], starts))
+
+    with spying(World, ["broadcast", "_enter_active"], before):
+        result = run(world)
+    assert {nid for nid, *_ in races} == result.false_activation_ids
+    for nid, now, reach, starts in races:
+        assert all(reach <= start <= now for start in starts), nid
