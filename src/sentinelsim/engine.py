@@ -273,20 +273,19 @@ class World:
 
     # -- energy --------------------------------------------------------------
 
-    def _deplete(self, node: SensorNode, category: str, now: float) -> None:
-        """Spend the rest of the node's budget on its `category` field; it dies.
-
-        A charge that fits the budget is added inline by its caller, to its
-        field and to spent_total; only one that does not fit comes here.
-        """
+    def _deplete(self, node: SensorNode, now: float) -> float:
+        """Spend the rest of the node's budget and return it, for the caller to
+        add to the field it was charging; the node dies. A charge that fits the
+        budget is added inline by its caller, to its field and to spent_total;
+        only one that does not fit comes here."""
         initial = self.config.initial_energy
         budget = initial - node.spent_total
-        setattr(node, category, getattr(node, category) + budget)
         node.spent_total = initial
         if node.state is not _DEAD:
             prev = node.state
             change_state(node, _DEAD)
             self._sync_state(node, prev, now)
+        return budget
 
     def charge(self, node: SensorNode, now: float) -> None:
         """Advance the node's state-power integral to `now`. A node whose budget
@@ -303,7 +302,7 @@ class World:
                 node.spent_state += amount
                 node.spent_total += amount
             else:
-                self._deplete(node, "spent_state", now)
+                node.spent_state += self._deplete(node, now)
 
     # -- state bookkeeping ----------------------------------------------------
 
@@ -442,7 +441,7 @@ class World:
             sender.spent_tx += e_tx
             sender.spent_total += e_tx
         else:
-            self._deplete(sender, "spent_tx", start)
+            sender.spent_tx += self._deplete(sender, start)
         if receivers:
             self.push(end, _DELIVERY, frame)
         return frame
@@ -610,7 +609,7 @@ def _record_sample(world: World, now: float) -> None:
                     node.spent_state += amount
                     node.spent_total += amount
                 else:
-                    world._deplete(node, "spent_state", now)
+                    node.spent_state += world._deplete(node, now)
         total += node.spent_total
     guards = world._guard_mask
     active = guards.bit_count()
@@ -694,13 +693,13 @@ def run(world: World, until: float | None = None) -> RunResult:
                             node.spent_state += amount
                             node.spent_total += amount
                         else:
-                            deplete(node, "spent_state", now)
+                            node.spent_state += deplete(node, now)
                             continue  # the charge spent its budget
                 if e_rx < budget - node.spent_total:
                     node.spent_rx += e_rx
                     node.spent_total += e_rx
                 else:
-                    deplete(node, "spent_rx", now)
+                    node.spent_rx += deplete(node, now)
                     continue
                 if is_request:
                     # received-probe accounting follows the message's purpose:

@@ -1,13 +1,23 @@
 """The brute-force oracles that several test files check against, one record
-of a run's outputs, and one way to spy on calls. Pytest collects nothing here;
-tests import it as `oracles`."""
+of a run's outputs, one way to spy on calls, one way to place a test world
+and one check of a finished run. Pytest collects nothing here; tests import
+it as `oracles`."""
 
+import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from sentinelsim.analysis import CSV_COLUMNS, MetricsRecord, format_csv_value, metrics_to_csv
+from sentinelsim.analysis import (
+    CSV_COLUMNS,
+    MetricsRecord,
+    format_csv_value,
+    metrics_to_csv,
+    overhead_report,
+)
+from sentinelsim.engine import deploy
+from sentinelsim.protocol import NodeState
 
 
 def brute_force_fraction(positions, r_sense, width, height, resolution):
@@ -89,3 +99,67 @@ def spying(owner, names, before):
                 return original(*args)
             patch.setattr(owner, name, spy)
         yield
+
+
+def place(world, node, state):
+    """Place a node into a lifecycle state through World.set_state at the
+    world's clock, via PROBING when the target is ACTIVE."""
+    if state is NodeState.ACTIVE and node.state is not NodeState.PROBING:
+        world.set_state(node, NodeState.PROBING, world.clock)
+    world.set_state(node, state, world.clock)
+
+
+def placed(config, positions, *, sleeps=None, guards=(), probers=()):
+    """Deploy `config` with one node at each position, every node asleep past
+    the run (1e9 s) unless `sleeps` is given, then place the guards (ids) on
+    duty in the order given, and then the probers. No other config value is
+    set."""
+    n = len(positions)
+    world = deploy(
+        replace(config, n_nodes=n),
+        positions=positions,
+        initial_sleeps=[1e9] * n if sleeps is None else sleeps,
+    )
+    for nid in guards:
+        place(world, world.nodes[nid], NodeState.ACTIVE)
+    for nid in probers:
+        place(world, world.nodes[nid], NodeState.PROBING)
+    return world
+
+
+def check_finished(world):
+    """Assert what every finished run keeps: the engine's state copies match
+    its nodes, each energy ledger adds up within its budget, every sample
+    counts every node on a strictly rising clock that ends at the duration,
+    replies are conserved, and the last energy total is the exact sum."""
+    cfg, nodes, result = world.config, world.nodes, world.result
+
+    def mask(*states):
+        return sum(1 << node.id for node in nodes if node.state in states)
+
+    assert world._radio_mask == mask(NodeState.PROBING, NodeState.ACTIVE)
+    assert world._guard_mask == mask(NodeState.ACTIVE)
+    assert world._dead == sum(node.state is NodeState.DEAD for node in nodes)
+    assert world.clock == cfg.duration
+    for node in nodes:
+        parts = node.spent_state + node.spent_tx + node.spent_rx
+        assert abs(parts - node.spent_total) <= max(1e-9 * node.spent_total, 1e-12), node.id
+        assert node.spent_total <= cfg.initial_energy, node.id
+
+    rows = result.rows
+    for row in rows:
+        states = row.active_count + row.sleeping_count + row.probing_count + row.dead_count
+        assert states == cfg.n_nodes, row.time
+    times = [row.time for row in rows]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[-1] == cfg.duration
+    assert overhead_report(result).replies_conserved
+
+    # the sampler adds the spends left to right from the int 0, inside its
+    # charge loop: sum()'s float arithmetic up to 3.11 (later sum() compensates)
+    total = 0
+    for node in nodes:
+        total += node.spent_total
+    assert rows[-1].total_energy_consumed == total
+    if sys.version_info < (3, 12):
+        assert total == sum(node.spent_total for node in nodes)

@@ -22,7 +22,7 @@ from sentinelsim.analysis import (
 )
 from sentinelsim.engine import SimConfig, deploy, run, simulate
 
-from oracles import brute_force_fraction
+from oracles import brute_force_fraction, placed
 
 
 def make_row(time=0.0, **kw):
@@ -186,21 +186,16 @@ def test_sparse_deployment_leaves_hole_unrecovered():
 # -- overhead -------------------------------------------------------------------
 
 
-def test_lossless_cluster_accounting(force_state):
+def test_lossless_cluster_accounting():
     # one prober, three guards in its range (none in each other's), perfect
     # channel: every request lands on every guard, every guard answers once
-    cfg = SimConfig(
-        n_nodes=4, duration=10.0, seed=2, loss_probability=0.0, collisions=False
-    )
-    world = deploy(
+    cfg = SimConfig(duration=10.0, seed=2, loss_probability=0.0, collisions=False)
+    world = placed(
         cfg,
-        positions=[(25.0, 25.0), (40.0, 25.0), (10.0, 25.0), (25.0, 40.0)],
-        initial_sleeps=[2.0, 1e9, 1e9, 1e9],
+        [(25.0, 25.0), (40.0, 25.0), (10.0, 25.0), (25.0, 40.0)],
+        sleeps=[2.0, 1e9, 1e9, 1e9],
+        guards=[1, 2, 3],
     )
-    from sentinelsim.protocol import NodeState
-
-    for guard in world.nodes[1:]:
-        force_state(world, guard, NodeState.ACTIVE)
     result = run(world)
     assert world.probes_sent == 1
     assert world.probes_received == 3  # receivers in range x sent requests
@@ -209,14 +204,10 @@ def test_lossless_cluster_accounting(force_state):
     assert overhead_report(result).replies_conserved
 
 
-def test_serialized_reply_conservation(force_state):
+def test_serialized_reply_conservation():
     # single guard, single prober, perfect channel: every reply sent is received
-    cfg = SimConfig(n_nodes=2, duration=10.0, seed=2, loss_probability=0.0)
-    world = deploy(cfg, positions=[(25.0, 25.0), (30.0, 25.0)], initial_sleeps=[2.0, 1e9])
-    from sentinelsim.protocol import NodeState
-
-    guard = world.nodes[1]
-    force_state(world, guard, NodeState.ACTIVE)
+    cfg = SimConfig(duration=10.0, seed=2, loss_probability=0.0)
+    world = placed(cfg, [(25.0, 25.0), (30.0, 25.0)], sleeps=[2.0, 1e9], guards=[1])
     run(world)
     assert world.replies_sent == world.replies_received == 1
 

@@ -25,6 +25,20 @@ seed = 9
 ENERGY_FIELDS = ("p_sleep", "p_probe_listen", "p_active", "e_tx", "e_rx", "initial_energy")
 
 
+def run_main(tmp_path, capsys, text, *flags):
+    """Write `text` to tmp_path/exp.cfg, unless it is None, run `main` on that
+    file with the flags and an output directory, and return the exit code,
+    what `main` wrote to stderr and the output directory."""
+    args = []
+    if text is not None:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        args = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    rc = main([*args, *flags, "--output", str(out)])
+    return rc, capsys.readouterr().err, out
+
+
 def test_empty_text_yields_all_defaults():
     spec = parse_config("")
     assert spec.base.n_nodes == 200
@@ -151,27 +165,23 @@ def test_paired_protocols_share_seed_and_report_ratio(tmp_path):
     assert peas_row.split(",")[-1] == ""
 
 
-def test_paired_run_with_an_idle_baseline_leaves_the_saving_empty(tmp_path):
-    # every node sleeps through the run at zero draw, so the baseline uses
-    # no energy and the saving is undefined: an empty cell, not a failure
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("protocol = both\nn_nodes = 3\nduration = 0.001\n[energy]\np_sleep = 0\n")
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--output", str(out)]) == 0
-    sent = json.loads((out / "base" / "sentinel_rep0" / "summary.json").read_text())
-    assert sent["energy_ratio_vs_baseline"] is None
-    lines = (out / "sweep_summary.csv").read_text().splitlines()
-    sent_row = next(line for line in lines[1:] if ",sentinel," in line)
-    assert sent_row.split(",")[-1] == ""
-
-
-def test_paired_run_of_zero_duration_leaves_the_saving_empty(tmp_path):
-    # one t=0 row per run and no energy spent: the saving is undefined, so
-    # its cell stays empty and the run succeeds
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("protocol = both\nduration = 0\nn_nodes = 10\n")
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--output", str(out)]) == 0
+@pytest.mark.parametrize(
+    "text",
+    [
+        # every node sleeps through the run at zero draw
+        "protocol = both\nn_nodes = 3\nduration = 0.001\n[energy]\np_sleep = 0\n",
+        # one t=0 row per run
+        "protocol = both\nduration = 0\nn_nodes = 10\n",
+    ],
+    ids=["idle_baseline", "zero_duration"],
+)
+def test_paired_run_whose_baseline_spends_nothing_leaves_the_saving_empty(
+    tmp_path, capsys, text
+):
+    # the baseline uses no energy, so the saving is undefined: an empty
+    # cell, not a failure
+    rc, _, out = run_main(tmp_path, capsys, text)
+    assert rc == 0
     sent = json.loads((out / "base" / "sentinel_rep0" / "summary.json").read_text())
     assert sent["energy_ratio_vs_baseline"] is None
     lines = (out / "sweep_summary.csv").read_text().splitlines()
@@ -199,20 +209,9 @@ def test_rerun_is_byte_identical(tmp_path):
     assert read("a/sweep_summary.csv") == read("b/sweep_summary.csv")
 
 
-def test_main_overrides_and_exit_codes(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(FAST)
-    out = tmp_path / "results"
-    rc = main(
-        [
-            "--config", str(cfg),
-            "--protocol", "peas",
-            "--nodes", "20",
-            "--duration", "100",
-            "--seed", "4",
-            "--output", str(out),
-        ]
-    )
+def test_main_overrides_and_exit_codes(tmp_path, capsys):
+    flags = ["--protocol", "peas", "--nodes", "20", "--duration", "100", "--seed", "4"]
+    rc, _, out = run_main(tmp_path, capsys, FAST, *flags)
     assert rc == 0
     assert (out / "base" / "peas_rep0" / "metrics.csv").exists()
     # the config file leaves protocol at its default: the run itself is PEAS
@@ -223,11 +222,9 @@ def test_main_overrides_and_exit_codes(tmp_path):
 @pytest.mark.parametrize("flag,name", [("--nodes", "n_nodes"), ("--duration", "duration")])
 def test_main_rejects_an_override_of_a_swept_field(tmp_path, capsys, flag, name):
     # the sweep sets the field of every run, so the override would be lost
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"duration = 20\n[sweep]\n{name} = 10, 20\n")
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), flag, "5", "--output", str(out)]) == 1
-    err = capsys.readouterr().err
+    text = f"duration = 20\n[sweep]\n{name} = 10, 20\n"
+    rc, err, out = run_main(tmp_path, capsys, text, flag, "5")
+    assert rc == 1
     assert "config error" in err
     assert f"{flag}: cannot override {name!r}" in err
     assert not out.exists()
@@ -257,14 +254,12 @@ def test_protocol_both_from_file_or_flag_gives_equal_specs(tmp_path):
     "in_file,flag,paired,base_protocol",
     [("both", "peas", False, "peas"), ("peas", "both", True, "sentinel")],
 )
-def test_protocol_flag_overrides_the_file(tmp_path, in_file, flag, paired, base_protocol):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(FAST + f"protocol = {in_file}\n")
-    spec = load_config(cfg, {"--protocol": flag})
+def test_protocol_flag_overrides_the_file(tmp_path, capsys, in_file, flag, paired, base_protocol):
+    rc, _, out = run_main(tmp_path, capsys, FAST + f"protocol = {in_file}\n", "--protocol", flag)
+    assert rc == 0
+    spec = load_config(tmp_path / "exp.cfg", {"--protocol": flag})
     assert (spec.paired, spec.base.protocol) == (paired, base_protocol)
     assert spec == parse_config(FAST + f"protocol = {flag}")
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--protocol", flag, "--output", str(out)]) == 0
     expected = ["peas_rep0", "sentinel_rep0"] if paired else [f"{flag}_rep0"]
     assert sorted(p.name for p in (out / "base").iterdir()) == expected
 
@@ -280,9 +275,8 @@ def test_protocol_flag_overrides_the_file(tmp_path, in_file, flag, paired, base_
     ],
 )
 def test_main_rejects_a_bad_flag_value(tmp_path, capsys, flag, value, expected):
-    out = tmp_path / "out"
-    assert main([flag, value, "--output", str(out)]) == 1
-    err = capsys.readouterr().err
+    rc, err, out = run_main(tmp_path, capsys, None, flag, value)
+    assert rc == 1
     assert "config error" in err
     for fragment in expected:
         assert fragment in err
@@ -310,11 +304,9 @@ def test_repeated_top_level_key_names_both_lines(tmp_path, capsys, text, expecte
     expected += " is repeated from line 1"
     with pytest.raises(ConfigError, match=expected):
         parse_config(text)
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(text)
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--output", str(out)]) == 1
-    assert expected in capsys.readouterr().err
+    rc, err, out = run_main(tmp_path, capsys, text)
+    assert rc == 1
+    assert expected in err
     assert not out.exists()
 
 
@@ -376,11 +368,8 @@ def test_flags_override_file_keys_without_a_repeat_error(tmp_path):
     ],
 )
 def test_main_reports_config_errors(tmp_path, capsys, text, expected):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(text)
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--output", str(out)]) == 1
-    err = capsys.readouterr().err
+    rc, err, out = run_main(tmp_path, capsys, text)
+    assert rc == 1
     assert "config error" in err
     for fragment in expected:
         assert fragment in err
@@ -427,15 +416,12 @@ def test_every_scalar_field_parses_to_its_declared_type():
     ]
 
 
-def test_energy_fields_sweep_like_any_other(tmp_path):
+def test_energy_fields_sweep_like_any_other(tmp_path, capsys):
     # a 1 J budget runs out within 300 s, the default 18,720 J does not
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "protocol = both\nn_nodes = 40\nduration = 300\nseed = 9\n"
-        "[sweep]\ninitial_energy = 1, 1000\n"
-    )
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--output", str(out)]) == 0
+    text = "protocol = both\nn_nodes = 40\nduration = 300\nseed = 9\n"
+    text += "[sweep]\ninitial_energy = 1, 1000\n"
+    rc, _, out = run_main(tmp_path, capsys, text)
+    assert rc == 0
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
         "initial_energy_1",
         "initial_energy_1000",

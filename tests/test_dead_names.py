@@ -1,7 +1,9 @@
-"""No package module keeps a private module-level name that it never reads.
+"""No package or test module keeps a private module-level name that it never
+reads.
 
 No linter is part of the toolchain, so a leftover import or binding, such as
-an enum member bound once for handlers that no longer use it, fails here.
+an enum member bound once for handlers that no longer use it, or a test
+helper that no test calls any more, fails here.
 """
 
 import ast
@@ -9,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sentinelsim"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "sentinelsim"
 # __init__.py binds names to re-export them, not to read them
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def _targets(target):

@@ -1,6 +1,7 @@
 """Golden outputs: sha256 digests of the metrics CSV and the summary JSON of a
 few fixed runs, so a change meant to keep behaviour proves it kept every byte
-(and, through the outputs, every RNG draw). A third and a fourth digest cover
+(and, through the outputs, every RNG draw). Each run must also pass
+`oracles.check_finished`. A third and a fourth digest cover
 the energy ledger and the run logs that `oracles.run_texts` records. A fifth
 covers how often the run called `World.push` (by event kind), `World.charge`
 and `World.broadcast`, the hooks the benchmark counts; the push count is the
@@ -25,7 +26,7 @@ import pytest
 from sentinelsim import SimConfig, World, deploy, run, summarize
 from sentinelsim.analysis import summary_to_json
 
-from oracles import run_texts, spying
+from oracles import check_finished, run_texts, spying
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
@@ -76,6 +77,7 @@ def run_scenario(name):
     with spying(World, ("push", "charge", "broadcast"), count):
         world = deploy(cfg)
         result = run(world)
+    check_finished(world)
     texts = {
         **run_texts(world),
         "summary_json": summary_to_json(summarize(result), cfg),

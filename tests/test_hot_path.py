@@ -172,7 +172,7 @@ CHECKS = {
             for node in world.nodes:
                 world.charge(node, now)
                 if node.spent_total > 1.0:
-                    world._deplete(node, 'spent_state', now)
+                    node.spent_state += world._deplete(node, now)
             for node in others:
                 print(node)
         """, ["f: world.charge(node, now)"]),
@@ -187,7 +187,7 @@ CHECKS = {
         for rid in frame.receivers:
             world.charge(nodes[rid], now)
             charge(nodes[rid], now)
-            world._deplete(nodes[rid], 'spent_rx', now)
+            nodes[rid].spent_rx += world._deplete(nodes[rid], now)
         """, [": world.charge(nodes[rid], now)", ": charge(nodes[rid], now)"]),
     "state_copy_writes": (_writes(STATE_COPIES), None, """
         class World:

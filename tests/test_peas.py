@@ -9,7 +9,7 @@ from sentinelsim.engine import SimConfig, deploy, run, simulate
 from sentinelsim.peas import matched_rate, on_withdrawal_check, peas_sample_sleep
 from sentinelsim.protocol import NodeState, ProbeReply, SensorNode, change_state
 
-from oracles import spying
+from oracles import placed, spying
 
 
 def test_sample_sleep_examples():
@@ -47,13 +47,15 @@ def test_active_baseline_node_never_stands_down():
     assert node.state is NodeState.ACTIVE
 
 
-def test_reply_within_probing_range_resets_exponential_sleep(force_state):
-    cfg = SimConfig(
-        n_nodes=2, duration=10.0, seed=1, protocol="peas", loss_probability=0.0
-    )
-    world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
-    guard, prober = world.nodes
-    force_state(world, guard, NodeState.ACTIVE)
+def guard_and_prober(**kw):
+    """A guard on duty, and 10 m from it a node that wakes to probe at 2 s."""
+    cfg = SimConfig(duration=10.0, seed=1, protocol="peas", loss_probability=0.0, **kw)
+    return placed(cfg, [(0.0, 0.0), (10.0, 0.0)], sleeps=[1e9, 2.0], guards=[0])
+
+
+def test_reply_within_probing_range_resets_exponential_sleep():
+    world = guard_and_prober()
+    prober = world.nodes[1]
     rate_before = prober.probe_rate
     run(world)
     assert prober.state is NodeState.SLEEPING
@@ -61,18 +63,14 @@ def test_reply_within_probing_range_resets_exponential_sleep(force_state):
     assert world.withdrawals == 0
 
 
-def test_reply_handler_is_looked_up_when_the_reply_arrives(force_state):
+def test_reply_handler_is_looked_up_when_the_reply_arrives():
     # replacing the policy's handler after deploy reroutes the run's replies
-    cfg = SimConfig(
-        n_nodes=2, duration=10.0, seed=1, protocol="peas", loss_probability=0.0
-    )
-    world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
+    world = guard_and_prober()
     guard, prober = world.nodes
-    force_state(world, guard, NodeState.ACTIVE)
     calls = []
 
     def record(name, node, msg, config, now, r):
-        calls.append((node.id, msg.sender_id, config is cfg))
+        calls.append((node.id, msg.sender_id, config is world.config))
 
     with spying(peas_mod, ["on_probe_reply"], record):
         run(world)
@@ -80,22 +78,12 @@ def test_reply_handler_is_looked_up_when_the_reply_arrives(force_state):
     assert prober.state is NodeState.SLEEPING
 
 
-def test_reply_from_beyond_probing_range_is_ignored(force_state):
-    cfg = SimConfig(
-        n_nodes=2,
-        duration=10.0,
-        seed=1,
-        protocol="peas",
-        loss_probability=0.0,
-        peas_probing_range=5.0,
-    )
-    world = deploy(cfg, positions=[(0.0, 0.0), (10.0, 0.0)], initial_sleeps=[1e9, 2.0])
-    guard, prober = world.nodes
-    force_state(world, guard, NodeState.ACTIVE)
+def test_reply_from_beyond_probing_range_is_ignored():
+    world = guard_and_prober(peas_probing_range=5.0)
     run(world)
     # the guard answered but sits outside the acceptance range: the prober
     # exhausts its budget and goes on duty permanently
-    assert prober.state is NodeState.ACTIVE
+    assert world.nodes[1].state is NodeState.ACTIVE
 
 
 def test_active_set_is_monotone_nondecreasing():
