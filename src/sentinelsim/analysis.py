@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from typing import Sequence
@@ -106,13 +106,6 @@ class _AxisCentres(tuple):
     size: int
 
 
-def _index_near(t: float, lo: int, hi: int) -> int:
-    """An index in [lo, hi] near the real index t (lo when t is nan)."""
-    if t >= hi:
-        return hi
-    return int(t) if t > lo else lo
-
-
 class CoverageGrid:
     """Regular grid of cell centers spanning the field, used to approximate
     the area covered by the active set's sensing disks.
@@ -123,11 +116,12 @@ class CoverageGrid:
     """
 
     def __init__(self, width: float, height: float, resolution: float = 1.0):
-        if resolution <= 0:
-            raise ValueError(f"resolution must be positive, got {resolution}")
-        if width <= 0 or height <= 0:
-            raise ValueError(f"field dimensions must be positive, got {width}x{height}")
-        self.resolution = resolution
+        if not 0 < resolution < math.inf:
+            raise ValueError(f"resolution must be positive and finite, got {resolution}")
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise ValueError(
+                f"field dimensions must be positive and finite, got {width}x{height}"
+            )
         self.nx = nx = max(1, int(round(width / resolution)))
         self.ny = ny = max(1, int(round(height / resolution)))
         self.centers_x = _AxisCentres((i + 0.5) * resolution for i in range(nx))
@@ -140,47 +134,38 @@ class CoverageGrid:
         key = (x, y, r)
         mask = self._masks.get(key)
         if mask is None:
+            for name, value in (("x", x), ("y", y), ("r", r)):
+                if not math.isfinite(value):
+                    raise ValueError(f"disk {name} must be finite, got {value}")
+            if r < 0:
+                raise ValueError(f"disk r must be >= 0, got {r}")
             mask = self._masks[key] = self._build_mask(x, y, r)
         return mask
 
     def _build_mask(self, x: float, y: float, r: float) -> int:
         # A cell is covered when (cx - x)**2 + (cy - y)**2 <= r * r in float64.
-        # Within a column, the centres at or below y (j < m) get no farther from
-        # (x, y) as j grows, and those above get no nearer, also after
-        # rounding; so the covered cells form one run. Each end of the run is
-        # estimated by a square root, then settled by exact cell tests, which
-        # move it out while the next cell is inside and in while it is not.
-        ys, ny, res = self.centers_y, self.ny, self.resolution
-        r2 = r * r
-        m = bisect_right(ys, y)
-        dx2 = 0.0
-
-        def inside(j):  # the cell test, in the current column
-            dy = ys[j] - y
-            return dx2 + dy * dy <= r2
-
+        # Within a column, the centres at or below y get no farther from (x, y)
+        # as j grows, and those above get no nearer, also after rounding; so
+        # the covered cells form one run. Its rows lie between y - r and y + r
+        # up to their rounding, which one spare row on each side absorbs; in
+        # each column, exact cell tests move the run's ends in from there.
+        ys, r2 = self.centers_y, r * r
+        first = max(bisect_left(ys, y - r) - 1, 0)
+        stop = bisect_right(ys, y + r) + 1
+        dy2 = [(cy - y) * (cy - y) for cy in ys[first:stop]]  # one per row of the window
         mask = 0
         for i, cx in enumerate(self.centers_x):
             dx = cx - x
             dx2 = dx * dx
             if not dx2 <= r2:
                 continue
-            h = math.sqrt(r2 - dx2)  # about the half-length of the run
-            lo, hi = m, m - 1
-            if m > 0 and inside(m - 1):
-                lo = _index_near((y - h) / res + 0.5, 0, m - 1)
-                while lo > 0 and inside(lo - 1):
-                    lo -= 1
-                while not inside(lo):
-                    lo += 1
-            if m < ny and inside(m):
-                hi = _index_near((y + h) / res - 0.5, m, ny - 1)
-                while hi < ny - 1 and inside(hi + 1):
-                    hi += 1
-                while not inside(hi):
-                    hi -= 1
+            lo, hi = 0, len(dy2) - 1
+            while lo <= hi and not dx2 + dy2[lo] <= r2:
+                lo += 1
+            while hi > lo and not dx2 + dy2[hi] <= r2:
+                hi -= 1
             if lo <= hi:
-                mask |= ((1 << (hi - lo + 1)) - 1) << (i * ny + lo)
+                mask |= ((1 << (hi - lo + 1)) - 1) << (i * self.ny + first + lo)
         return mask
 
 

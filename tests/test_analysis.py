@@ -72,38 +72,71 @@ def test_single_central_guard_covers_a_disk():
 
 
 def test_matches_brute_force_scan_on_randomized_layouts():
-    # square and non-square fields at several resolutions; guards inside the
-    # field, guards up to 10 m outside it, and guards on cell centres with
-    # radii of 1, 2, 5, 10 or 13 cells, which put whole-cell offsets such as
-    # (3, 4) or (0, 5) cells exactly on the circle
+    # square and non-square fields at several resolutions, a 5 x 7 m field
+    # at 2.5 m among them; guards inside the field, up to 10 m outside it,
+    # wholly above or below it, on cell centres with radii of 1, 2, 5, 10 or
+    # 13 cells, which put whole-cell offsets such as (3, 4) or (0, 5) cells
+    # exactly on the circle, and on cell corners; radii of 0 and under half
+    # a cell; and cell centres on the rim
     rng = random.Random(77)
     for width, height, resolution in (
-        (50.0, 50.0, 1.0), (50.0, 50.0, 0.5), (37.3, 61.9, 0.7), (80.0, 30.0, 1.0)
+        (50.0, 50.0, 1.0), (50.0, 50.0, 0.5), (37.3, 61.9, 0.7), (80.0, 30.0, 1.0),
+        (5.0, 7.0, 2.5),
     ):
         nx = max(1, int(round(width / resolution)))
         ny = max(1, int(round(height / resolution)))
-        for case in range(12):
+        for case in range(18):
             k = rng.randint(0, 15)
-            if case % 3 == 0:
+            if case % 6 == 0:
                 pts = [(rng.uniform(0, width), rng.uniform(0, height)) for _ in range(k)]
                 r = rng.uniform(5.0, 15.0)
-            elif case % 3 == 1:
+            elif case % 6 == 1:
                 pts = [
                     (rng.uniform(-10, width + 10), rng.uniform(-10, height + 10))
                     for _ in range(k)
                 ]
                 r = rng.uniform(5.0, 15.0)
-            else:
+            elif case % 6 == 2:
                 pts = [
                     ((rng.randint(-3, nx + 2) + 0.5) * resolution,
                      (rng.randint(-3, ny + 2) + 0.5) * resolution)
                     for _ in range(k)
                 ]
                 r = rng.choice([1, 2, 5, 10, 13]) * resolution
+            elif case % 6 == 3:
+                pts = [
+                    (rng.randint(-3, nx + 3) * resolution, rng.randint(-3, ny + 3) * resolution)
+                    for _ in range(k)
+                ]
+                r = rng.choice([0.5, 1, 1.5, 2, 5, 10]) * resolution
+            elif case % 6 == 4:
+                r = rng.uniform(0.0, 15.0)
+                pts = [
+                    (rng.uniform(-10, width + 10),
+                     rng.choice([-r - rng.uniform(0, 5), height + r + rng.uniform(0, 5)]))
+                    for _ in range(k)
+                ]
+            else:
+                pts = [(rng.uniform(0, width), rng.uniform(0, height)) for _ in range(k)]
+                r = rng.choice([0.0, rng.uniform(0.0, 0.5 * resolution)])
             grid = CoverageGrid(width, height, resolution)
             assert coverage_fraction(pts, r, grid) == brute_force_fraction(
                 pts, r, width, height, resolution
             ), (width, height, resolution, r, pts)
+        # a disk with a cell centre exactly on its rim, in its own column,
+        # where y - r or y + r rounds past that centre
+        rims = 0
+        while rims < 4:
+            cx = (rng.randrange(nx) + 0.5) * resolution
+            cy = (rng.randrange(ny) + 0.5) * resolution
+            y = rng.uniform(-10, height + 10)
+            r = abs(cy - y)
+            if y - r <= cy <= y + r:
+                continue
+            rims += 1
+            assert coverage_fraction([(cx, y)], r, grid) == brute_force_fraction(
+                [(cx, y)], r, width, height, resolution
+            ), (width, height, resolution, r, cx, y)
 
 
 def test_masks_cached_by_one_grid_match_a_fresh_grid():
@@ -122,10 +155,35 @@ def test_masks_cached_by_one_grid_match_a_fresh_grid():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        CoverageGrid(50.0, 50.0, resolution=0.0)
-    with pytest.raises(ValueError):
-        CoverageGrid(-1.0, 50.0)
+    for width, height, resolution, refused in (
+        (50.0, 50.0, 0.0, "resolution"),
+        (50.0, 50.0, math.inf, "resolution"),
+        (50.0, 50.0, math.nan, "resolution"),
+        (-1.0, 50.0, 1.0, "field dimensions"),
+        (math.nan, 50.0, 1.0, "field dimensions"),
+        (50.0, math.inf, 1.0, "field dimensions"),
+    ):
+        with pytest.raises(ValueError, match=f"^{refused} must be positive and finite, got "):
+            CoverageGrid(width, height, resolution)
+
+
+@pytest.mark.parametrize("x, y, r, message", [
+    (math.nan, 25.0, 10.0, "disk x must be finite, got nan"),
+    (-math.inf, 25.0, 10.0, "disk x must be finite, got -inf"),
+    (25.0, math.inf, 10.0, "disk y must be finite, got inf"),
+    (25.0, 25.0, math.nan, "disk r must be finite, got nan"),
+    (25.0, 25.0, math.inf, "disk r must be finite, got inf"),
+    (25.0, 25.0, -5.0, "disk r must be >= 0, got -5.0"),
+], ids=["x-nan", "x-minus-inf", "y-inf", "r-nan", "r-inf", "r-negative"])
+def test_disk_mask_refuses_a_disk_it_cannot_bound(x, y, r, message):
+    # the refusal comes before the build, so no mask is cached for the disk
+    # and asking again is refused again
+    grid = CoverageGrid(50.0, 50.0)
+    for _ in range(2):
+        with pytest.raises(ValueError) as refusal:
+            coverage_fraction([(x, y)], r, grid)
+        assert str(refusal.value) == message
+    assert coverage_fraction([(25.0, 25.0)], 10.0, grid) == 316 / 2500
 
 
 # -- recovery latency -------------------------------------------------------------
