@@ -223,12 +223,14 @@ def overhead_report(result: RunResult) -> OverheadReport:
 def summarize(result: RunResult) -> SummaryReport:
     n = result.n_nodes
     rows = result.rows
+    # added left to right from the int 0, as the sampler adds; sum() compensates since 3.12
+    coverage = 0
+    for row in rows:
+        coverage += row.coverage_fraction
     return SummaryReport(
         avg_energy_per_node=result.total_energy / n if n else 0.0,
         energy_ratio_vs_baseline=None,
-        mean_coverage=(
-            sum(r.coverage_fraction for r in rows) / len(rows) if rows else 0.0
-        ),
+        mean_coverage=coverage / len(rows) if rows else 0.0,
         false_activation_fraction=len(result.false_activation_ids) / n if n else 0.0,
         recovery_latencies=[ev.latency for ev in result.recoveries],
     )

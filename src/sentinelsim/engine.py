@@ -287,22 +287,28 @@ class World:
             self._sync_state(node, prev, now)
         return budget
 
-    def charge(self, node: SensorNode, now: float) -> None:
-        """Advance the node's state-power integral to `now`. A node whose budget
-        ran out since its last charge dies at this charge, not at the moment it
-        ran out: depletion is lazy (see the README's Energy note)."""
-        dt = now - node.last_charge_time
-        if dt <= 0.0:
-            return
-        node.last_charge_time = now
-        p = self._power[node.state]
-        if p > 0.0:
-            amount = p * dt
-            if amount < self.config.initial_energy - node.spent_total:
-                node.spent_state += amount
-                node.spent_total += amount
-            else:
-                node.spent_state += self._deplete(node, now)
+    def charge(self, nodes: typing.Iterable[SensorNode], now: float) -> float:
+        """Advance each node's state-power integral to `now`, in order, and
+        return their spent_totals added left to right from the int 0. A node
+        whose budget ran out since its last charge dies at this charge, not at
+        the moment it ran out: depletion is lazy (see the README's Energy note)."""
+        power = self._power
+        budget = self.config.initial_energy
+        total = 0
+        for node in nodes:
+            dt = now - node.last_charge_time
+            if dt > 0.0:
+                node.last_charge_time = now
+                p = power[node.state]
+                if p > 0.0:
+                    amount = p * dt
+                    if amount < budget - node.spent_total:
+                        node.spent_state += amount
+                        node.spent_total += amount
+                    else:
+                        node.spent_state += self._deplete(node, now)
+            total += node.spent_total
+        return total
 
     # -- state bookkeeping ----------------------------------------------------
 
@@ -316,7 +322,7 @@ class World:
         A node placed PROBING gets no reply timeout: it sends no probe, and
         listens until an overheard reply sends it to sleep, its budget runs
         out or it is moved again."""
-        self.charge(node, now)
+        self.charge((node,), now)
         if new is _DEAD and node.state is _DEAD:
             return
         prev = node.state
@@ -590,27 +596,9 @@ def inject_failure(world: World, node_id: int) -> None:
 
 
 def _record_sample(world: World, now: float) -> None:
-    # Each node is charged to `now` with World.charge's float steps, inline: a
-    # call per node was most of the sample's cost. The masks and the dead
-    # count are _sync_state's, read after the loop, so a depletion here
-    # (which changes only this node's state) is counted.
-    power = world._power
-    budget = world.config.initial_energy
-    # summed left to right from the int 0, as sum() does on 3.11
-    total = 0
-    for node in world.nodes:
-        dt = now - node.last_charge_time
-        if dt > 0.0:
-            node.last_charge_time = now
-            p = power[node.state]
-            if p > 0.0:
-                amount = p * dt
-                if amount < budget - node.spent_total:
-                    node.spent_state += amount
-                    node.spent_total += amount
-                else:
-                    node.spent_state += world._deplete(node, now)
-        total += node.spent_total
+    # The masks and the dead count are _sync_state's, read after the charge,
+    # so a depletion there (which changes only that node's state) is counted.
+    total = world.charge(world.nodes, now)
     guards = world._guard_mask
     active = guards.bit_count()
     probing = world._radio_mask.bit_count() - active
@@ -682,7 +670,7 @@ def run(world: World, until: float | None = None) -> RunResult:
                 if not heard >> rid & 1:
                     continue  # lost, or slept or died while the frame was in the air
                 node = nodes[rid]
-                # World.charge's float steps, inline, as the sampler's
+                # World.charge's float steps, inline, without a call per receiver
                 dt = now - node.last_charge_time
                 if dt > 0.0:
                     node.last_charge_time = now
@@ -731,7 +719,7 @@ def run(world: World, until: float | None = None) -> RunResult:
             node = nodes[nid]
             if token != node.timer_token:
                 continue  # a state change since arming voids the timer
-            charge(node, now)
+            charge((node,), now)
             if node.state is _DEAD:
                 continue  # depleted while asleep or listening
             prev = node.state

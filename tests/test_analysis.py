@@ -241,6 +241,12 @@ def test_sparse_deployment_leaves_hole_unrecovered():
     assert summarize(result).recovery_latencies == [UNRECOVERED]
 
 
+def test_mean_coverage_adds_the_samples_left_to_right():
+    # a compensated sum, as sum() is from CPython 3.12 on, would give exactly 0.1
+    rows = [make_row(float(k), coverage_fraction=0.1) for k in range(10)]
+    assert summarize(make_result(SimConfig(n_nodes=1), rows)).mean_coverage == 0.9999999999999999 / 10
+
+
 # -- overhead -------------------------------------------------------------------
 
 

@@ -732,7 +732,7 @@ def test_set_state_bills_the_time_before_the_move_at_the_old_power():
     world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1e9])
     node = world.nodes[0]
     world.set_state(node, NodeState.PROBING, 5.0)  # asleep since t=0
-    world.charge(node, 6.0)
+    world.charge((node,), 6.0)
     assert node.spent_state == cfg.p_sleep * 5.0 + cfg.p_probe_listen * 1.0
     assert node.spent_state == pytest.approx(0.060015, rel=1e-12)
 
@@ -805,13 +805,12 @@ def test_a_probe_that_spends_the_senders_budget_voids_its_reply_timeout():
     cfg = small_config(n_nodes=1, duration=10.0, initial_energy=1.3e-5)
     world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
     charged_at = []
-    with spying(World, ["charge"], lambda name, world, node, now: charged_at.append(now)):
+    with spying(World, ["charge"], lambda name, world, nodes, now: charged_at.append(now)):
         run(world)
     assert world.probes_sent == 1
     assert world.nodes[0].state is NodeState.DEAD
-    # only the wake: nothing charges at the 2 s timeout (the sampler and the
-    # frame deliveries charge inline, not through World.charge)
-    assert charged_at == [1.0]
+    # the samples at 0 and 10 s and the wake at 1 s: nothing charges at the 2 s timeout
+    assert charged_at == [0.0, 1.0, 10.0]
 
 
 def test_a_node_whose_budget_runs_out_asleep_dies_at_its_wake_without_probing():
@@ -838,6 +837,52 @@ def test_dead_nodes_stop_consuming():
     # totals frozen across the remaining samples
     trailing = {row.total_energy_consumed for row in world.result.rows if row.time > 100.0}
     assert len(trailing) == 1
+
+
+def _charge_world():
+    """Five nodes on a 0.1 J budget: a sleeper, a prober whose listening
+    spends its budget by 2 s, a dead node, a sleeper already charged at 2 s
+    and a guard."""
+    cfg = small_config(n_nodes=5, initial_energy=0.1)
+    world = placed(cfg, [(5.0 + 10.0 * i, 25.0) for i in range(5)], guards=[4], probers=[1])
+    world.set_state(world.nodes[2], NodeState.DEAD, 0.0)
+    world.charge((world.nodes[3],), 2.0)
+    return world
+
+
+def _books(world):
+    ledgers = [repr((n.state, n.spent_state, n.spent_total, n.last_charge_time)) for n in world.nodes]
+    return ledgers, world._radio_mask, world._guard_mask, world._dead
+
+
+def test_one_charge_of_several_nodes_is_one_charge_per_node_in_order():
+    batched, single = _charge_world(), _charge_world()
+    total = batched.charge(batched.nodes, 2.0)
+    for node in single.nodes:
+        single.charge((node,), 2.0)
+    assert _books(batched) == _books(single)
+    cfg = batched.config
+    sleeper, prober, dead, charged, guard = batched.nodes
+    # the prober dies mid-sequence, and the nodes after it are charged still
+    assert prober.state is NodeState.DEAD
+    assert prober.spent_state == prober.spent_total == cfg.initial_energy
+    assert dead.spent_total == 0.0 and dead.last_charge_time == 2.0
+    assert charged.spent_state == sleeper.spent_state == cfg.p_sleep * 2.0
+    assert guard.spent_state == cfg.p_active * 2.0 and guard.last_charge_time == 2.0
+    # the spends added left to right from the int 0
+    expected = 0
+    for spend in (cfg.p_sleep * 2.0, cfg.initial_energy, 0.0, cfg.p_sleep * 2.0, cfg.p_active * 2.0):
+        expected += spend
+    assert total == expected
+
+
+@pytest.mark.parametrize("nodes", [(), []])
+def test_a_charge_of_no_nodes_totals_the_int_zero(nodes):
+    world = _charge_world()
+    before = _books(world)
+    total = world.charge(nodes, 2.0)
+    assert total == 0 and type(total) is int
+    assert _books(world) == before
 
 
 # -- metrics -------------------------------------------------------------------

@@ -5,7 +5,9 @@ few fixed runs, so a change meant to keep behaviour proves it kept every byte
 the energy ledger and the run logs that `oracles.run_texts` records. A fifth
 covers how often the run called `World.push` (by event kind), `World.charge`
 and `World.broadcast`, the hooks the benchmark counts; the push count is the
-numerator of its events per second.
+numerator of its events per second. The scenarios live in golden_outputs.py,
+which also writes the first two digests with the standard library alone, so
+every other installed CPython from 3.10 to 3.13 is held to the same bytes.
 
 The digests live in tests/golden/digests.json. When a change alters the
 outputs on purpose, rewrite them with
@@ -18,6 +20,9 @@ digest changed, or that none did.
 
 import hashlib
 import json
+import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -26,45 +31,11 @@ import pytest
 from sentinelsim import SimConfig, World, deploy, run, summarize
 from sentinelsim.analysis import summary_to_json
 
+from golden_outputs import SCENARIOS
 from oracles import check_finished, run_texts, spying
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
-
-SCENARIOS = {
-    "sentinel": dict(n_nodes=200, duration=3000.0, seed=5),
-    "peas": dict(n_nodes=200, duration=3000.0, seed=5, protocol="peas"),
-    "no_collisions": dict(n_nodes=120, duration=1000.0, seed=6, collisions=False),
-    "single_probe_lossy": dict(
-        n_nodes=100, duration=1000.0, seed=7, k_probes=1, loss_probability=0.15
-    ),
-    "failures": dict(
-        n_nodes=150,
-        duration=2000.0,
-        seed=8,
-        failure_injections=[(i, 300.0 + 9 * i) for i in range(0, 150, 5)],
-    ),
-    # one sample a second on a fine grid while guards fail: the sampler sees
-    # the active set both hold still and change between samples
-    "dense_sampling": dict(
-        n_nodes=100,
-        duration=200.0,
-        seed=9,
-        metrics_interval=1.0,
-        coverage_resolution=0.5,
-        failure_injections=[(i, 40.0 + i) for i in range(0, 100, 7)],
-    ),
-    # every node runs its budget down: the only gate on the depletion branch
-    # of the energy ledger. Most die of state power; one node of the sentinel
-    # run dies of a reception, one of the PEAS run of a transmission.
-    "depletion": dict(n_nodes=60, duration=3000.0, seed=10, initial_energy=2.0),
-    "depletion_peas": dict(
-        n_nodes=60,
-        duration=3000.0,
-        seed=38,
-        protocol="peas",
-        initial_energy=2.0,
-    ),
-}
+OUTPUTS_SCRIPT = Path(__file__).parent / "golden_outputs.py"
 
 
 def run_scenario(name):
@@ -96,6 +67,36 @@ def test_outputs_match_golden_digests(name):
     if name == "dense_sampling":
         coverage = [row.coverage_fraction for row in result.rows]
         assert len(set(coverage)) > 2
+
+
+def _runs_as(exe: str, minor: int) -> bool:
+    """Whether `exe` starts and reports CPython 3.<minor>: a pyenv shim of a
+    version that is not installed exits non-zero."""
+    try:
+        probe = subprocess.run([exe, "-I", "-c", "import sys; print(sys.version_info[:2])"],
+                               capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    return probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})"
+
+
+@pytest.mark.parametrize("minor", range(10, 14), ids=lambda minor: f"3.{minor}")
+def test_other_pythons_write_the_golden_output_bytes(minor):
+    # About 0.2 s for each interpreter found: two short scenarios, one of them
+    # sampled every second, so the summary's mean coverage adds 201 samples.
+    if (3, minor) == sys.version_info[:2]:
+        pytest.skip("the running interpreter; test_outputs_match_golden_digests covers it")
+    exe = shutil.which(f"python3.{minor}")
+    if exe is None or not _runs_as(exe, minor):
+        pytest.skip(f"no python3.{minor} on PATH runs")
+    names = ["dense_sampling", "no_collisions"]
+    out = subprocess.run([exe, "-I", "-B", str(OUTPUTS_SCRIPT), *names],
+                         capture_output=True, text=True, timeout=300, check=True).stdout
+    recorded = json.loads(DIGESTS.read_text())
+    assert json.loads(out) == {
+        name: {key: recorded[name][key] for key in ("metrics_csv", "summary_json")}
+        for name in names
+    }
 
 
 def test_every_scenario_has_a_recorded_digest():

@@ -9,18 +9,20 @@ attributes, and every delivery a `Frame`'s; a slot is cheaper to reach than
 an instance dict entry, so none of the three has a `__dict__`. A finished
 run keeps every `MetricsRecord` it sampled, so those take no dict either.
 
-The sampler visits every node at every sample, so its node loop makes no
-call but the rare `_deplete`: the charge is inlined, and the radio and guard
-masks and the dead count are the engine's. Those three are the engine's only
-copies of its nodes' states, so one method writes them all, besides the
-constructor that zeroes them. Likewise only the radio replaces its list of
-frames on the air, and only the run, which empties it when it ends. Only
-`World.push` and the run, which adds its pause, push onto the event queue,
-and only the run marks a world finished. The run's one event loop charges
-each receiver of a frame inline the same way, and reads the config only
-through the locals it binds before the loop. A redundancy proof's rate
-update and sleep draw build no `WeibullParams`, and every probe a node sends
-is the one `ProbeRequest` it was built with.
+The sampler visits every node at every sample through one `World.charge`
+call and has no node loop of its own; the charge's node loop makes no call
+but the rare `_deplete`. The run's one event loop charges each receiver of a
+frame inline with the same float steps, and those two loops are the only
+writers of a node's charge time. The radio and guard masks and the dead
+count are the engine's only copies of its nodes' states, so one method
+writes them all, besides the constructor that zeroes them. Likewise only the
+radio replaces its list of frames on the air, and only the run, which
+empties it when it ends. Only `World.push` and the run, which adds its
+pause, push onto the event queue, and only the run marks a world finished.
+The event loop reads the config only through the locals it binds before the
+loop. A redundancy proof's rate update and sleep draw build no
+`WeibullParams`, and every probe a node sends is the one `ProbeRequest` it
+was built with.
 """
 
 import ast
@@ -128,9 +130,20 @@ def test_per_event_code_reads_no_enum_member(fn):
 
 
 def test_the_sampler_node_loop_calls_only_deplete():
-    tree = _tree(engine._record_sample)
-    assert [ast.unparse(n.iter) for _, n in _scoped(tree) if type(n) is ast.For] == ["world.nodes"]
-    assert _found(tree, _call_but_deplete, _loop("world.nodes")) == []
+    charge = _tree(engine.World.charge)
+    assert [ast.unparse(n.iter) for _, n in _scoped(charge) if type(n) is ast.For] == ["nodes"]
+    assert _found(charge, _call_but_deplete, _loop("nodes")) == []
+    sample = _tree(engine._record_sample)
+    assert _found(sample, lambda node: isinstance(node, (ast.For, ast.While))) == []
+    assert _found(sample, _call("charge")) == ["_record_sample: world.charge(world.nodes, now)"]
+
+
+def test_only_the_charge_and_the_delivery_loop_write_a_charge_time():
+    writes = _writes({"last_charge_time"})
+    assert _package(writes) == ["engine.World.charge", "engine.run"]
+    assert len(_found(_tree(engine.World.charge), writes)) == 1
+    loop = _tree(engine.run)
+    assert len(_found(loop, writes)) == len(_found(loop, writes, _loop(".receivers"))) == 1
 
 
 def test_the_event_loop_only_passes_the_config_on():
@@ -167,15 +180,17 @@ CHECKS = {
             x = _ACTIVE, node.state.name
             return node.state is NodeState.ACTIVE or kind is engine.EventKind.WAKE
         """, ["f: NodeState.ACTIVE", "f: engine.EventKind.WAKE"]),
-    "calls_in_node_loops": (_call_but_deplete, _loop("world.nodes"), """
-        def f(world, now):
+    "calls_in_node_loops": (_call_but_deplete, _loop("nodes"), """
+        def f(world, nodes, now):
             for node in world.nodes:
-                world.charge(node, now)
+                world.charge((node,), now)
                 if node.spent_total > 1.0:
                     node.spent_state += world._deplete(node, now)
+            for node in nodes:
+                print(node)
             for node in others:
                 print(node)
-        """, ["f: world.charge(node, now)"]),
+        """, ["f: world.charge((node,), now)", "f: print(node)"]),
     "config_reads": (_config_use, _loop("heap"), """
         while heap:
             handler(node, cfg, now)

@@ -170,7 +170,7 @@ def reference_sample(world, now):
     guards = []
     total = 0
     for node in world.nodes:
-        world.charge(node, now)
+        world.charge((node,), now)
         total += node.spent_total
         counts[node.state] += 1
         if node.state is NodeState.ACTIVE:

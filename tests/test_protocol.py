@@ -177,13 +177,6 @@ def test_single_attempt_config_activates_immediately():
     assert node.state is NodeState.ACTIVE
 
 
-def test_probe_budget_never_exceeded():
-    node = _probing_node()
-    for now in (11.0, 12.0):
-        on_reply_timeout(node, PARAMS, now)
-        assert node.probes_sent_this_round <= PARAMS.k_probes
-
-
 # -- on_withdrawal_check -----------------------------------------------------------
 
 
