@@ -8,6 +8,10 @@ and `World.broadcast`, the hooks the benchmark counts; the push count is the
 numerator of its events per second. The scenarios live in golden_outputs.py,
 which also writes the first two digests with the standard library alone, so
 every other installed CPython from 3.10 to 3.13 is held to the same bytes.
+One more scenario, `cli_sweep`, is a small paired sweep through the CLI's
+`run_experiment`: it digests every file the sweep writes, keyed by its path
+under the output directory, so each per-run file, the paired saving in the
+sentinel runs' summary.json and sweep_summary.csv are held too.
 
 The digests live in tests/golden/digests.json. When a change alters the
 outputs on purpose, rewrite them with
@@ -23,6 +27,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -30,12 +35,25 @@ import pytest
 
 from sentinelsim import SimConfig, World, deploy, run, summarize
 from sentinelsim.analysis import summary_to_json
+from sentinelsim.cli import parse_config, run_experiment
 
 from golden_outputs import SCENARIOS
 from oracles import check_finished, run_texts, spying
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 OUTPUTS_SCRIPT = Path(__file__).parent / "golden_outputs.py"
+
+# Two points, two seeds, both protocols: 16 per-run files and the sweep summary.
+CLI_SWEEP = """\
+seed = 9
+duration = 200
+protocol = both
+replications = 2
+failure_injections = 3@50
+
+[sweep]
+n_nodes = 20, 40
+"""
 
 
 def run_scenario(name):
@@ -55,6 +73,15 @@ def run_scenario(name):
         "calls": json.dumps(counts, sort_keys=True),
     }
     return result, {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
+
+
+def run_cli_sweep(out: Path) -> dict[str, str]:
+    assert run_experiment(parse_config(CLI_SWEEP, {"--output": str(out)})) == 0
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -99,13 +126,22 @@ def test_other_pythons_write_the_golden_output_bytes(minor):
     }
 
 
+def test_cli_sweep_writes_the_golden_files(tmp_path):
+    # About 0.05 s: eight 200 s runs of 20 or 40 nodes.
+    digests = run_cli_sweep(tmp_path)
+    assert len(digests) == 17
+    assert digests == json.loads(DIGESTS.read_text())["cli_sweep"]
+
+
 def test_every_scenario_has_a_recorded_digest():
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted(SCENARIOS)
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted([*SCENARIOS, "cli_sweep"])
 
 
 if __name__ == "__main__":
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     table = {name: run_scenario(name)[1] for name in sorted(SCENARIOS)}
+    with tempfile.TemporaryDirectory() as out:
+        table["cli_sweep"] = run_cli_sweep(Path(out))
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {DIGESTS}")
     keys = {(name, key) for digests in (old, table) for name in digests for key in digests[name]}
