@@ -112,8 +112,7 @@ class ExperimentSpec:
             if names.count(name) > 1:  # its points would all run the last values
                 raise SweepError(f"sweep key {name!r} is repeated", name)
         seen = set()
-        for point, overrides in _sweep_points(self):
-            config = replace(self.base, **overrides)
+        for point, config in _sweep_points(self):
             try:
                 if point in seen:  # its runs would overwrite the other point's
                     raise ValueError("another point has the same name")
@@ -242,22 +241,28 @@ def load_config(path: Path, flags: dict[str, str] | None = None) -> ExperimentSp
     return parse_config(path.read_text(), flags)
 
 
-def _point_label(value) -> str:
-    return "none" if value is None else f"{value:g}"
-
-
-def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, dict]]:
-    """Expand the sweep into (point_name, field overrides) pairs."""
+def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, SimConfig]]:
+    """Expand the sweep into (point name, config) pairs: each config is the base
+    config with the point's sweep values applied."""
     if not spec.sweep:
-        return [("base", {})]
+        return [("base", spec.base)]
     points = [("", {})]
     for name, values in spec.sweep:
         points = [
-            (f"{prefix}_{name}_{_point_label(value)}".lstrip("_"), {**overrides, name: value})
+            (f"{prefix}_{name}_{'none' if value is None else f'{value:g}'}".lstrip("_"),
+             {**overrides, name: value})
             for prefix, overrides in points
             for value in values
         ]
-    return points
+    return [(point, replace(spec.base, **overrides)) for point, overrides in points]
+
+
+_SUMMARY_COLUMNS = (
+    "point", "protocol", "replication", "seed", "avg_energy_per_node", "total_energy",
+    "mean_coverage", "false_activation_fraction", "energy_saving_vs_peas",
+)
+# "%.6f" renders a number as format_csv_value does; the saving cell comes rendered.
+_SUMMARY_ROW = "%s,%s,%d,%d,%.6f,%.6f,%.6f,%.6f,%s"
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
@@ -267,64 +272,45 @@ def run_experiment(spec: ExperimentSpec) -> int:
     spec.validate()
     out_root = spec.output_dir
     out_root.mkdir(parents=True, exist_ok=True)
-    summary_rows: list[dict[str, str]] = []
+    lines = [",".join(_SUMMARY_COLUMNS)]
     protocols = PROTOCOLS if spec.paired else (spec.base.protocol,)
-    for point_name, overrides in _sweep_points(spec):
+    for point_name, config in _sweep_points(spec):
         point_dir = out_root / point_name
         try:
             for rep in range(spec.replications):
-                seed = spec.base.seed + rep
+                seed = config.seed + rep
                 results = {}
                 for proto in protocols:
-                    cfg = replace(
-                        spec.base,
-                        protocol=proto,
-                        seed=seed,
-                        failure_injections=list(spec.base.failure_injections),
-                        **overrides,
-                    )
-                    results[proto] = (cfg, simulate(cfg))
+                    cfg = replace(config, protocol=proto, seed=seed,
+                                  failure_injections=list(config.failure_injections))
+                    results[proto] = simulate(cfg)
                 saving = None
-                if len(protocols) == 2:
-                    saving = compare_runs(results["sentinel"][1], results["peas"][1])
-                for proto in protocols:
-                    cfg, result = results[proto]
+                if spec.paired:
+                    saving = compare_runs(results["sentinel"], results["peas"])
+                for proto, result in results.items():
                     report = summarize(result)
                     if proto == "sentinel":
                         report.energy_ratio_vs_baseline = saving
                     run_dir = point_dir / f"{proto}_rep{rep}"
                     run_dir.mkdir(parents=True, exist_ok=True)
                     write_metrics_csv(result.rows, run_dir / "metrics.csv")
-                    (run_dir / "summary.json").write_text(summary_to_json(report, cfg))
+                    (run_dir / "summary.json").write_text(summary_to_json(report, result.config))
                     ratio = report.energy_ratio_vs_baseline
-                    summary_rows.append(
-                        {
-                            "point": point_name,
-                            "protocol": proto,
-                            "replication": str(rep),
-                            "seed": str(seed),
-                            "avg_energy_per_node": format_csv_value(report.avg_energy_per_node),
-                            "total_energy": format_csv_value(result.total_energy),
-                            "mean_coverage": format_csv_value(report.mean_coverage),
-                            "false_activation_fraction": format_csv_value(
-                                report.false_activation_fraction
-                            ),
-                            "energy_saving_vs_peas": (
-                                "" if ratio is None else format_csv_value(ratio)
-                            ),
-                        }
-                    )
+                    lines.append(_SUMMARY_ROW % (
+                        point_name, proto, rep, seed, report.avg_energy_per_node,
+                        result.total_energy, report.mean_coverage, report.false_activation_fraction,
+                        "" if ratio is None else format_csv_value(ratio),
+                    ))
         except Exception as exc:
             if point_dir.exists():
                 shutil.rmtree(point_dir)
             print(f"error: sweep point {point_name!r} failed: {exc}", file=sys.stderr)
             return 2
-    lines = [",".join(summary_rows[0])] + [",".join(row.values()) for row in summary_rows]
     (out_root / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sentinelsim",
         description="Run duty-cycle scheduling experiments and write metric CSVs.",
@@ -332,20 +318,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="experiment config file")
     for flag, (_, help_text) in FLAGS.items():  # raw strings: parse_config checks them
         parser.add_argument(flag, help=help_text)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     flags = {f"--{k}": v for k, v in vars(args).items() if k != "config" and v is not None}
     try:
         spec = load_config(args.config, flags) if args.config else parse_config("", flags)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
         return run_experiment(spec)
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # outside a point: an output path that names a file
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 
