@@ -290,6 +290,16 @@ def test_main_keeps_argparse_usage_errors(tmp_path, capsys):
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
+def test_main_reports_an_output_path_that_names_a_file(tmp_path, capsys):
+    # run_experiment makes the output directory before any sweep point runs
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["--nodes", "5", "--duration", "10", "--output", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "File exists" in err
+    assert taken.read_text() == "kept"
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [

@@ -28,6 +28,7 @@ from sentinelsim.engine import (
     simulate,
 )
 from sentinelsim.protocol import NodeState, ProbeReply, ProbeRequest, ProtocolError
+from sentinelsim.scheduling import adapt_and_draw
 
 from oracles import brute_force_neighbors, cell_by_cell_csv, place, placed, spying
 
@@ -425,6 +426,31 @@ def test_reply_jitter_is_uniform_from_one_draw(seed, jitter):
     for _ in range(200):
         assert jitter * scaled.random() == uniform.uniform(0.0, jitter)
     assert scaled.getstate() == uniform.getstate()
+
+
+def test_a_reply_draw_of_zero_is_drawn_again():
+    # A proof's Weibull draw needs r on (0, 1): random() can return 0.0, and
+    # delivery draws again. In order the draws are the probe's loss draw, the
+    # reply's loss draw (no jitter draw at zero jitter), then the reply's r.
+    class ThirdDrawZero(random.Random):
+        def random(self):
+            values.append(0.0 if len(values) == 2 else super().random())
+            return values[-1]
+
+    values, replies = [], []
+    world = placed(small_config(duration=2.0, reply_jitter=0.0), [(0.0, 0.0), (5.0, 0.0)],
+                   sleeps=[1e9, 1.0], guards=[0])
+    world.rng = ThirdDrawZero(3)
+    with spying(protocol_mod, ("on_probe_reply",), lambda name, *args: replies.append(args)):
+        run(world)
+    assert len(values) == 4
+    prober = world.nodes[1]
+    ((node, _, cfg, now, r),) = replies
+    assert node is prober and r == values[3]
+    _, sleep = adapt_and_draw(cfg.lambda_init, now, cfg.beta, values[3], cfg.lambda_min,
+                              cfg.lambda_max, cfg.t_sleep_min, cfg.t_sleep_max_scale)
+    assert prober.state is NodeState.SLEEPING
+    assert prober.wake_deadline == now + sleep
 
 
 def test_overlapping_frames_collide_destructively_at_common_receiver():

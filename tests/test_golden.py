@@ -24,6 +24,8 @@ digest changed, or that none did.
 
 import hashlib
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -96,15 +98,39 @@ def test_outputs_match_golden_digests(name):
         assert len(set(coverage)) > 2
 
 
-def _runs_as(exe: str, minor: int) -> bool:
-    """Whether `exe` starts and reports CPython 3.<minor>: a pyenv shim of a
-    version that is not installed exits non-zero."""
+def _runs_as(exe: str, minor: int, env: dict | None) -> bool:
+    """Whether `exe` starts and reports CPython 3.<minor> in `env`: a pyenv shim
+    of a version that pyenv does not select exits non-zero."""
     try:
         probe = subprocess.run([exe, "-I", "-c", "import sys; print(sys.version_info[:2])"],
-                               capture_output=True, text=True, timeout=60)
+                               capture_output=True, text=True, timeout=60, env=env)
     except (OSError, subprocess.TimeoutExpired):
         return False
     return probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})"
+
+
+def _python(minor: int) -> tuple[str, dict | None] | None:
+    """python3.<minor> on PATH and the environment it runs CPython 3.<minor> in:
+    the inherited one, or else, when it is a pyenv shim, the inherited one with
+    PYENV_VERSION set to an installed 3.<minor>.x. None when neither runs."""
+    exe = shutil.which(f"python3.{minor}")
+    if exe is None:
+        return None
+    if _runs_as(exe, minor, None):
+        return exe, None
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return None
+    try:
+        listed = subprocess.run([pyenv, "versions", "--bare"],
+                                capture_output=True, text=True, timeout=60).stdout.split()
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    for version in listed:
+        env = {**os.environ, "PYENV_VERSION": version}
+        if re.fullmatch(rf"3\.{minor}\.\d+", version) and _runs_as(exe, minor, env):
+            return exe, env
+    return None
 
 
 @pytest.mark.parametrize("minor", range(10, 14), ids=lambda minor: f"3.{minor}")
@@ -113,11 +139,12 @@ def test_other_pythons_write_the_golden_output_bytes(minor):
     # sampled every second, so the summary's mean coverage adds 201 samples.
     if (3, minor) == sys.version_info[:2]:
         pytest.skip("the running interpreter; test_outputs_match_golden_digests covers it")
-    exe = shutil.which(f"python3.{minor}")
-    if exe is None or not _runs_as(exe, minor):
-        pytest.skip(f"no python3.{minor} on PATH runs")
+    found = _python(minor)
+    if found is None:
+        pytest.skip(f"no python3.{minor} on PATH runs, with or without PYENV_VERSION")
+    exe, env = found
     names = ["dense_sampling", "no_collisions"]
-    out = subprocess.run([exe, "-I", "-B", str(OUTPUTS_SCRIPT), *names],
+    out = subprocess.run([exe, "-I", "-B", str(OUTPUTS_SCRIPT), *names], env=env,
                          capture_output=True, text=True, timeout=300, check=True).stdout
     recorded = json.loads(DIGESTS.read_text())
     assert json.loads(out) == {
@@ -127,7 +154,7 @@ def test_other_pythons_write_the_golden_output_bytes(minor):
 
 
 def test_cli_sweep_writes_the_golden_files(tmp_path):
-    # About 0.05 s: eight 200 s runs of 20 or 40 nodes.
+    # About 0.03 s: eight 200 s runs of 20 or 40 nodes.
     digests = run_cli_sweep(tmp_path)
     assert len(digests) == 17
     assert digests == json.loads(DIGESTS.read_text())["cli_sweep"]

@@ -346,3 +346,47 @@ def test_a_clean_channel_activates_within_delta_of_a_guard_only_in_a_race(cfg):
     assert {nid for nid, *_ in races} == result.false_activation_ids
     for nid, now, reach, starts in races:
         assert all(reach <= start <= now for start in starts), nid
+
+
+def paused_guard_geometry(protocol, seed):
+    """Run 200 nodes for 1,500 s on a clean channel, pausing at every sample
+    time, and return, at each pause, its time, the pairs of guards closer
+    than delta and the live nodes farther than delta from every guard."""
+    cfg = SimConfig(n_nodes=200, duration=1500.0, seed=seed, protocol=protocol,
+                    collisions=False, loss_probability=0.0)
+    world = deploy(cfg)
+    pauses = []
+    for k in range(1, round(cfg.duration / cfg.metrics_interval) + 1):
+        t = k * cfg.metrics_interval
+        run(world, t)
+        guards = [(n.id, n.x, n.y) for n in world.nodes if n.state is NodeState.ACTIVE]
+        close = [
+            (a, b) for i, (a, ax, ay) in enumerate(guards) for b, bx, by in guards[i + 1:]
+            if math.hypot(ax - bx, ay - by) < cfg.delta
+        ]
+        bare = [
+            n.id for n in world.nodes
+            if n.state is not NodeState.DEAD
+            and all(math.hypot(n.x - x, n.y - y) > cfg.delta for _, x, y in guards)
+        ]
+        pauses.append((t, close, bare))
+    return pauses
+
+
+# 0.3-0.5 s for the three runs on a 2-core x86-64 VM with CPython 3.11.7.
+@pytest.mark.parametrize("seed", [11, 12])
+def test_clean_channel_sentinel_guards_stand_delta_apart_and_dominate(seed):
+    """With no loss and no collisions, every guard answers each probe within
+    delta, so no two guards stand closer than delta, and once the first
+    sleepers have woken (a settle window of 20 s) every live node lies within
+    delta of a guard. Domination of the nodes is not coverage of the field."""
+    pauses = paused_guard_geometry("sentinel", seed)
+    assert len(pauses) == 150
+    assert [(t, close) for t, close, _ in pauses if close] == []
+    assert [(t, bare) for t, _, bare in pauses if bare and t >= 20.0] == []
+
+
+def test_clean_channel_peas_guards_stand_closer_than_delta():
+    # PEAS guards never withdraw, so two that went on duty in a race stay on
+    # duty together: on the same channel the geometry check above can fail.
+    assert any(close for _, close, _ in paused_guard_geometry("peas", 11))
