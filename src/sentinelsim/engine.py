@@ -274,17 +274,16 @@ class World:
     # -- energy --------------------------------------------------------------
 
     def _deplete(self, node: SensorNode, now: float) -> float:
-        """Spend the rest of the node's budget and return it, for the caller to
+        """Spend the rest of a live node's budget and return it, for the caller to
         add to the field it was charging; the node dies. A charge that fits the
-        budget is added inline by its caller, to its field and to spent_total;
-        only one that does not fit comes here."""
+        budget is added inline by its caller; only one that does not fit comes
+        here, never for a dead node (its power is 0, it cannot send or hear)."""
         initial = self.config.initial_energy
         budget = initial - node.spent_total
         node.spent_total = initial
-        if node.state is not _DEAD:
-            prev = node.state
-            change_state(node, _DEAD)
-            self._sync_state(node, prev, now)
+        prev = node.state
+        change_state(node, _DEAD)
+        self._sync_state(node, prev, now)
         return budget
 
     def charge(self, nodes: typing.Iterable[SensorNode], now: float) -> float:

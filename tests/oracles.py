@@ -1,22 +1,27 @@
 """The brute-force oracles that several test files check against, one record
-of a run's outputs, one way to spy on calls, one way to place a test world
-and one check of a finished run. Pytest collects nothing here; tests import
-it as `oracles`."""
+of a run's outputs, one way to spy on calls, one way to place a test world, one
+hook on the run's pops, and checks of the engine's books before every event and
+of a finished run. Pytest collects nothing here; tests import it as `oracles`."""
 
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from functools import reduce
+from operator import add
 
 import pytest
 
+from sentinelsim import engine
 from sentinelsim.analysis import (
     CSV_COLUMNS,
+    CoverageGrid,
     MetricsRecord,
+    coverage_fraction,
     format_csv_value,
     metrics_to_csv,
     overhead_report,
 )
-from sentinelsim.engine import deploy
+from sentinelsim.engine import EventKind, World, deploy
 from sentinelsim.protocol import NodeState
 
 
@@ -127,39 +132,117 @@ def placed(config, positions, *, sleeps=None, guards=(), probers=()):
     return world
 
 
-def check_finished(world):
-    """Assert what every finished run keeps: the engine's state copies match
-    its nodes, each energy ledger adds up within its budget, every sample
-    counts every node on a strictly rising clock that ends at the duration,
-    replies are conserved, and the last energy total is the exact sum."""
-    cfg, nodes, result = world.config, world.nodes, world.result
+def recount(world):
+    """Assert that the radio and guard masks and the dead count match a recount of the node
+    states and that each ledger adds up within its budget; return the two masks and the counts."""
+    masks, budget = [0] * len(NodeState), world.config.initial_energy
+    for node in world.nodes:
+        masks[node.state] |= 1 << node.id
+        total, parts = node.spent_total, node.spent_state + node.spent_tx + node.spent_rx
+        assert abs(parts - total) <= max(1e-9 * total, 1e-12) and total <= budget, node.id
+    guards = masks[NodeState.ACTIVE]
+    radio = masks[NodeState.PROBING] | guards
+    counts = [mask.bit_count() for mask in masks]
+    kept, found = (world._radio_mask, world._guard_mask, world._dead), (radio, guards, counts[-1])
+    assert kept == found, f"radio and guard masks and dead count {kept}, recount {found}"
+    return radio, guards, counts
 
-    def mask(*states):
-        return sum(1 << node.id for node in nodes if node.state in states)
 
-    assert world._radio_mask == mask(NodeState.PROBING, NodeState.ACTIVE)
-    assert world._guard_mask == mask(NodeState.ACTIVE)
-    assert world._dead == sum(node.state is NodeState.DEAD for node in nodes)
-    assert world.clock == cfg.duration
+@contextmanager
+def popping(world, before):
+    """Call before(entry) with each entry `run` pops off the world's queue, ahead of its
+    event (`run` looks `heappop` up in the engine module at every pop). Fails unless the
+    last pop through it was the END that stopped the world, so no run can pop past it."""
+    heap, ends = world._heap, []
+
+    def pop(queue, original=engine.heappop):
+        entry = original(queue)
+        if queue is heap:
+            before(entry)
+            if entry[2] is EventKind.END_OF_RUN:
+                ends.append(entry[0])
+        return entry
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "heappop", pop)
+        yield
+    assert ends and ends[-1] == world.clock, "no run popped its events through the hook"
+
+
+@contextmanager
+def checked(world):
+    """Check a deployed world's books before each event run in the block and at its end:
+    `recount`, the rows sampled since against it, and each node's state power times the time
+    to the event added to its re-derived state spend. A `World.broadcast` spy checks each
+    frame's receivers against the in-range radio-on recount. At the end each node that never
+    ran out must match its re-derived `spent_state`, `spent_tx` (e_tx per frame sent) and
+    `spent_rx` (e_rx per frame heard by a radio-on receiver that did not drop it) to 1e-9."""
+    cfg, nodes, rows = world.config, world.nodes, world.result.rows
+    power = dict(zip(NodeState, (cfg.p_sleep, cfg.p_probe_listen, cfg.p_active, 0.0)))
+    spent, sent, heard = [0.0] * len(nodes), [0] * len(nodes), [0] * len(nodes)
+    neighbours = brute_force_neighbors(world)
+    grid = CoverageGrid(cfg.field_width, cfg.field_height, cfg.coverage_resolution)
+    last = {"time": world.clock, "rows": len(rows)}
+
+    def books(now):
+        assert now >= last["time"], "the clock ran back"
+        radio, guards, counts = recount(world)
+        for row in rows[last["rows"]:]:
+            assert row.time == last["time"]
+            states = [row.sleeping_count, row.probing_count, row.active_count, row.dead_count]
+            total = reduce(add, (node.spent_total for node in nodes), 0)  # as the sampler adds
+            assert states == counts and row.total_energy_consumed == total, row.time
+            actives = [node.position for node in nodes if guards >> node.id & 1]
+            assert row.coverage_fraction == coverage_fraction(actives, cfg.r_sense, grid), row.time
+            for counter in fields(row)[7:]:  # probes_sent on, which the world counts too
+                assert getattr(row, counter.name) == getattr(world, counter.name), row.time
+        dt, last["rows"], last["time"] = now - last["time"], len(rows), now
+        spent[:] = [s + power[node.state] * dt for s, node in zip(spent, nodes)]
+        return radio
+
+    def before(entry):
+        now, _, kind, payload = entry
+        radio = books(now)
+        if kind is EventKind.MESSAGE_DELIVERY:
+            for rid in payload.receivers:
+                heard[rid] += (radio & ~payload.dropped) >> rid & 1
+
+    def broadcast(self, sender, msg, start, original=World.broadcast):  # this world runs alone
+        radio = [n.id for n in nodes if n.state in (NodeState.PROBING, NodeState.ACTIVE)]
+        frame = original(self, sender, msg, start)
+        assert frame.receivers == [j for j in radio if neighbours[sender.id] >> j & 1], sender.id
+        sent[sender.id] += 1
+        return frame
+
+    with pytest.MonkeyPatch.context() as patch, popping(world, before):
+        patch.setattr(World, "broadcast", broadcast)
+        yield
+    books(world.clock)
     for node in nodes:
-        parts = node.spent_state + node.spent_tx + node.spent_rx
-        assert abs(parts - node.spent_total) <= max(1e-9 * node.spent_total, 1e-12), node.id
-        assert node.spent_total <= cfg.initial_energy, node.id
+        if node.spent_total < cfg.initial_energy:
+            unbilled = power[node.state] * (world.clock - node.last_charge_time)
+            for derived, kept in ((spent[node.id], node.spent_state + unbilled),
+                                  (cfg.e_tx * sent[node.id], node.spent_tx),
+                                  (cfg.e_rx * heard[node.id], node.spent_rx)):
+                assert abs(derived - kept) <= max(1e-9 * derived, 1e-12), node.id
 
-    rows = result.rows
+
+def check_finished(world):
+    """Assert what every finished run keeps: `recount` holds, every sample counts every node
+    on a strictly rising clock that ends at the duration, replies are conserved, and the last
+    energy total is the exact sum."""
+    cfg, nodes, rows = world.config, world.nodes, world.result.rows
+    recount(world)
     for row in rows:
         states = row.active_count + row.sleeping_count + row.probing_count + row.dead_count
         assert states == cfg.n_nodes, row.time
     times = [row.time for row in rows]
     assert all(a < b for a, b in zip(times, times[1:]))
-    assert times[-1] == cfg.duration
-    assert overhead_report(result).replies_conserved
-
+    assert world.clock == times[-1] == cfg.duration
+    assert overhead_report(world.result).replies_conserved
     # the sampler adds the spends left to right from the int 0, inside its
     # charge loop: sum()'s float arithmetic up to 3.11 (later sum() compensates)
-    total = 0
-    for node in nodes:
-        total += node.spent_total
+    total = reduce(add, (node.spent_total for node in nodes), 0)
     assert rows[-1].total_energy_consumed == total
     if sys.version_info < (3, 12):
         assert total == sum(node.spent_total for node in nodes)

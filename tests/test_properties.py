@@ -1,24 +1,24 @@
-"""Post-run engine invariants over small random configs, both policies, the
-radio against the per-receiver lists it replaced, the metrics sampler
-against the per-node reference it replaced, paused runs against
-uninterrupted ones, the node each protocol handler is handed, and false
-activations on a clean channel."""
+"""Engine invariants over small random configs, both policies, with every
+finished and paused run under `oracles.checked`, which re-derives the state
+masks, the sample rows and every energy ledger before each event; the radio
+against the per-receiver lists it replaced, paused runs against uninterrupted
+ones, false activations on a clean channel, and two self-tests of the check."""
 
+import heapq
 import math
 import random
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sentinelsim import engine, peas, protocol
-from sentinelsim.analysis import MetricsRecord, coverage_fraction
+from sentinelsim import engine
 from sentinelsim.engine import PROTOCOLS, SimConfig, World, deploy, run, simulate
 from sentinelsim.protocol import NodeState, ProbeRequest
 
-from oracles import brute_force_neighbors, check_finished, placed, run_texts, spying
+from oracles import check_finished, checked, placed, run_texts, spying
 
 plain_configs = st.builds(
     SimConfig,
@@ -53,7 +53,8 @@ def configs(draw):
 @example(SimConfig(n_nodes=120, duration=600.0, seed=31))
 def test_finished_run_keeps_the_engine_invariants(cfg):
     world = deploy(cfg)
-    result = run(world)
+    with checked(world):
+        result = run(world)
     assert result is world.result
     check_finished(world)
 
@@ -67,29 +68,6 @@ def test_finished_run_keeps_the_engine_invariants(cfg):
     replay = simulate(cfg)
     assert replay.rows == result.rows
     assert replay.recoveries == result.recoveries
-
-
-@settings(max_examples=100, deadline=None)
-@given(configs())
-def test_broadcast_receivers_match_the_radio_set_oracle(cfg):
-    """Every frame goes to the in-range nodes whose radio was on when it was
-    sent, in id order: the set intersection the radio mask replaced."""
-    world = deploy(cfg)
-    neighbours = brute_force_neighbors(world)
-    broadcast = World.broadcast
-
-    def checked(self, sender, msg, start):
-        radio_on_before = sum(
-            1 << node.id for node in self.nodes
-            if node.state in (NodeState.PROBING, NodeState.ACTIVE)
-        )
-        frame = broadcast(self, sender, msg, start)
-        assert frame.receivers == engine._ids(radio_on_before & neighbours[sender.id])
-        return frame
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(World, "broadcast", checked)
-        run(world)
 
 
 class ReferenceRadio:
@@ -162,62 +140,14 @@ def test_broadcast_matches_the_per_receiver_reference(case):
     assert world.rng.getstate() == reference.rng.getstate()
 
 
-def reference_sample(world, now):
-    """The oracle: the sampler with a World.charge per node, the states
-    counted and the guards collected in its loop, and coverage keyed by the
-    guards' mask."""
-    counts = [0] * len(NodeState)
-    guards = []
-    total = 0
-    for node in world.nodes:
-        world.charge((node,), now)
-        total += node.spent_total
-        counts[node.state] += 1
-        if node.state is NodeState.ACTIVE:
-            guards.append(node.id)
-    key = sum(1 << i for i in guards)
-    if key != world._sampled_guards:
-        actives = [(world.nodes[i].x, world.nodes[i].y) for i in guards]
-        world._sampled_coverage = coverage_fraction(actives, world.config.r_sense, world._grid)
-        world._sampled_guards = key
-    world.result.rows.append(
-        MetricsRecord(
-            time=now,
-            active_count=counts[NodeState.ACTIVE],
-            sleeping_count=counts[NodeState.SLEEPING],
-            probing_count=counts[NodeState.PROBING],
-            dead_count=counts[NodeState.DEAD],
-            total_energy_consumed=total,
-            coverage_fraction=world._sampled_coverage,
-            probes_sent=world.probes_sent,
-            probes_received=world.probes_received,
-            replies_sent=world.replies_sent,
-            replies_received=world.replies_received,
-            collisions=world.collisions,
-            withdrawals=world.withdrawals,
-        )
-    )
-    oldest = max((now - t for t in world._conflicts.values()), default=0.0)
-    world.result.conflict_ages.append((now, oldest))
-
-
 def outputs(cfg, stops=(None,)):
-    """A run's outputs as exact text (`run_texts`) and its generator's final state.
-    The run is one `run` call per stop, the last of which is None or the duration."""
+    """A run's outputs as exact text (`run_texts`) and its generator's final state. The
+    run is one checked `run` call per stop, the last of which is None or the duration."""
     world = deploy(cfg)
-    for until in stops:
-        run(world, until)
+    with checked(world):
+        for until in stops:
+            run(world, until)
     return run_texts(world), world.rng.getstate()
-
-
-@settings(max_examples=100, deadline=None)
-@given(configs())
-def test_sampler_matches_the_per_node_reference(cfg):
-    fast = outputs(cfg)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_record_sample", reference_sample)
-        slow = outputs(cfg)
-    assert fast == slow
 
 
 @contextmanager
@@ -253,49 +183,27 @@ def test_a_paused_run_equals_one_uninterrupted_run(cfg, data):
     assert paused_calls == whole_calls
 
 
-HANDLERS = {
-    protocol: ("on_wake", "on_probe_request", "on_probe_reply", "on_reply_timeout",
-               "on_withdrawal_check"),
-    peas: ("on_probe_reply", "on_withdrawal_check"),
-}
-
-
-@contextmanager
-def handler_spies(check):
-    """Call check("module.handler", node) before each protocol and policy
-    handler, patched on its module, for the length of the block."""
-    with ExitStack() as stack:
-        for module, names in HANDLERS.items():
-            def before(name, node, *args, prefix=module.__name__):
-                check(f"{prefix}.{name}", node)
-            stack.enter_context(spying(module, names, before))
-        yield
-
-
-# About 0.4 s for the 100 examples (1-4 ms each) on a 2-core x86-64 VM with
-# CPython 3.11.7.
-@settings(max_examples=100, deadline=None)
-@given(configs())
-def test_every_handler_sees_its_node_alive_and_charged_to_the_event(cfg):
-    """The run charges a node to the event's time before its handler runs,
-    receivers of a frame included, and hands no handler a dead node: a frame
-    reaches only receivers whose radio is still on."""
-    world = deploy(cfg)
-
-    def check(name, node):
-        assert node.state is not NodeState.DEAD, name
-        assert node.last_charge_time == world.clock, name
-
-    with handler_spies(check):
+def test_the_per_event_check_reports_a_miscount(monkeypatch):
+    depleting = SimConfig(n_nodes=20, duration=300.0, seed=4, initial_energy=1.0)
+    world = deploy(depleting)
+    with checked(world):
+        run(world)  # the same run, unpatched, passes
+    # no failure is injected, so this drops only _deplete's _sync_state
+    sync = World._sync_state
+    monkeypatch.setattr(World, "_sync_state", lambda world, node, prev, now: (
+        node.state is NodeState.DEAD or sync(world, node, prev, now)))
+    world = deploy(depleting)
+    with pytest.raises(AssertionError, match="recount"), checked(world):
         run(world)
 
 
-def test_the_handler_spies_see_every_handler():
-    seen = set()
-    for policy in PROTOCOLS:
-        with handler_spies(lambda name, node: seen.add(name)):
-            simulate(SimConfig(n_nodes=60, duration=300.0, seed=3, protocol=policy))
-    assert seen == {f"{m.__name__}.{name}" for m, names in HANDLERS.items() for name in names}
+def test_the_per_event_check_fails_when_no_pop_goes_through_it():
+    # as it would if `run` bound heappop before the check patched the module
+    world = deploy(SimConfig(n_nodes=5, duration=10.0))
+    with pytest.raises(AssertionError, match="no run popped"), checked(world):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "heappop", heapq.heappop)
+            run(world)
 
 
 clean_channel_configs = st.builds(
