@@ -478,8 +478,8 @@ def deploy(
     event drawn from (0, ts_initial].
 
     positions and initial_sleeps override the random draws for engineered
-    scenarios; lengths must equal n_nodes, positions must lie in the field and
-    sleeps must be finite and >= 0.
+    scenarios; lengths must equal n_nodes, each position must be a pair of real
+    numbers in the field and each sleep a finite real >= 0 (a bool is neither).
     """
     config.validate()
     world = World(config)
@@ -500,15 +500,18 @@ def deploy(
     rate = world.policy.wake_rate(config)
     w, h = config.field_width, config.field_height
     for i in range(n):
-        x, y = positions[i]
-        sleep = initial_sleeps[i]
-        # NaN fails every comparison, and the field is finite
-        if not (0.0 <= x <= w and 0.0 <= y <= h):
+        position, sleep = positions[i], initial_sleeps[i]
+        # _fits' rule: a pair of real numbers, no bool; NaN fails every comparison,
+        # and the field is finite
+        if not (isinstance(position, (tuple, list)) and len(position) == 2
+                and _fits(position[0], float) and _fits(position[1], float)
+                and 0.0 <= position[0] <= w and 0.0 <= position[1] <= h):
             raise ValueError(
-                f"position {i} must be finite and lie in [0, {w}] x [0, {h}], got ({x}, {y})"
+                f"position {i} must be finite and lie in [0, {w}] x [0, {h}], got {position!r}"
             )
-        if not 0.0 <= sleep < math.inf:
-            raise ValueError(f"initial sleep {i} must be finite and >= 0, got {sleep}")
+        if not (_fits(sleep, float) and 0.0 <= sleep < math.inf):
+            raise ValueError(f"initial sleep {i} must be finite and >= 0, got {sleep!r}")
+        x, y = position
         node = SensorNode(
             id=i,
             x=x,

@@ -1,8 +1,10 @@
 """The brute-force oracles that several test files check against, one record
 of a run's outputs, one way to spy on calls, one way to place a test world, one
-hook on the run's pops, and checks of the engine's books before every event and
-of a finished run. Pytest collects nothing here; tests import it as `oracles`."""
+hook on the run's pops, a check of the engine's books and of each frame's fate
+before every event, and a check of a finished run. Pytest collects nothing
+here; tests import it as `oracles`."""
 
+import random
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -174,15 +176,24 @@ def checked(world):
     """Check a deployed world's books before each event run in the block and at its end:
     `recount`, the rows sampled since against it, and each node's state power times the time
     to the event added to its re-derived state spend. A `World.broadcast` spy checks each
-    frame's receivers against the in-range radio-on recount. At the end each node that never
-    ran out must match its re-derived `spent_state`, `spent_tx` (e_tx per frame sent) and
-    `spent_rx` (e_rx per frame heard by a radio-on receiver that did not drop it) to 1e-9."""
+    frame's receivers against the in-range radio-on recount and re-derives its fate. Loss
+    replays the generator: one draw per receiver, in id order, and no other draw. Collisions
+    keep one in-flight list per receiver: a frame leaves receiver j's list once a frame to j
+    starts at or after its end (the README's gap), and a frame that overlaps one still on
+    j's list kills both there and counts one collision. The spy checks the collision count's
+    rise at each broadcast, and each delivery pop checks the frame's dropped mask. At the end
+    each node that never ran out must match its re-derived `spent_state`, `spent_tx` (e_tx
+    per frame sent) and `spent_rx` (e_rx per frame heard by a radio-on receiver that did not
+    drop it) to 1e-9."""
     cfg, nodes, rows = world.config, world.nodes, world.result.rows
     power = dict(zip(NodeState, (cfg.p_sleep, cfg.p_probe_listen, cfg.p_active, 0.0)))
     spent, sent, heard = [0.0] * len(nodes), [0] * len(nodes), [0] * len(nodes)
     neighbours = brute_force_neighbors(world)
     grid = CoverageGrid(cfg.field_width, cfg.field_height, cfg.coverage_resolution)
     last = {"time": world.clock, "rows": len(rows)}
+    inflight = [[] for _ in nodes]  # per receiver: [start, end, dropped mask] of each frame
+    fates = {}  # each frame with receivers -> its [start, end, dropped mask], until delivered
+    draws = random.Random()  # the world's generator, replayed at each broadcast
 
     def books(now):
         assert now >= last["time"], "the clock ran back"
@@ -204,13 +215,33 @@ def checked(world):
         now, _, kind, payload = entry
         radio = books(now)
         if kind is EventKind.MESSAGE_DELIVERY:
+            assert payload.dropped == fates.pop(payload)[2], f"dropped mask of the frame at {now}"
             for rid in payload.receivers:
                 heard[rid] += (radio & ~payload.dropped) >> rid & 1
 
     def broadcast(self, sender, msg, start, original=World.broadcast):  # this world runs alone
         radio = [n.id for n in nodes if n.state in (NodeState.PROBING, NodeState.ACTIVE)]
+        collided = self.collisions
+        draws.setstate(self.rng.getstate())
         frame = original(self, sender, msg, start)
-        assert frame.receivers == [j for j in radio if neighbours[sender.id] >> j & 1], sender.id
+        receivers = [j for j in radio if neighbours[sender.id] >> j & 1]
+        assert frame.receivers == receivers, sender.id
+        fate, hits = [start, start + cfg.airtime, 0], 0
+        for j in receivers:
+            lost, live, hit = draws.random() < cfg.loss_probability, [fate], False
+            for other in inflight[j]:
+                if other[1] > start:
+                    live.append(other)
+                    if cfg.collisions and other[0] < fate[1]:
+                        other[2] |= 1 << j
+                        hit = True
+            inflight[j] = live
+            hits += hit
+            fate[2] |= (lost or hit) << j
+        assert draws.getstate() == self.rng.getstate(), f"loss draws of node {sender.id}"
+        assert self.collisions - collided == hits, f"collision count at node {sender.id}"
+        if receivers:
+            fates[frame] = fate
         sent[sender.id] += 1
         return frame
 

@@ -200,11 +200,19 @@ def test_empty_world_yields_all_zero_metrics():
          r"^initial sleep 3 must be finite and >= 0, got nan"),
         (dict(initial_sleeps=[1.0, -1.0, 1.0, 1.0]), r"^initial sleep 1 must be finite"),
         (dict(initial_sleeps=[math.inf] * 4), r"^initial sleep 0 must be finite"),
+        (dict(positions=[(1.0, 1.0)] * 3 + [(True, 1.0)]), r"^position 3 .* got \(True, 1.0\)"),
+        (dict(positions=[(1.0, 1.0), "ab", (1.0, 1.0), (1.0, 1.0)]), r"^position 1 .* got 'ab'"),
+        (dict(positions=[None] * 4), r"^position 0 .* got None"),
+        (dict(positions=[(1.0, 1.0, 1.0)] * 4), r"^position 0 .* got \(1.0, 1.0, 1.0\)"),
+        (dict(initial_sleeps=[1.0, True, 1.0, 1.0]), r"^initial sleep 1 .* got True"),
+        (dict(initial_sleeps=[1.0, 1.0, "1", 1.0]), r"^initial sleep 2 .* got '1'"),
+        (dict(initial_sleeps=[None] * 4), r"^initial sleep 0 .* got None"),
     ],
 )
 def test_deploy_rejects_overrides_of_the_wrong_length(kw, match):
-    """Overrides are checked for count and value: a NaN or out-of-field
-    position, or a NaN, infinite or negative sleep, names its index."""
+    """Overrides are checked for count and value: a position that is not a
+    pair of real numbers in the field, or a sleep that is not a finite real
+    >= 0, names its index; a bool is no real number, as in SimConfig."""
     with pytest.raises(ValueError, match=match):
         deploy(small_config(), **kw)
 

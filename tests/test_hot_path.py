@@ -12,17 +12,23 @@ run keeps every `MetricsRecord` it sampled, so those take no dict either.
 The sampler visits every node at every sample through one `World.charge`
 call and has no node loop of its own; the charge's node loop makes no call
 but the rare `_deplete`. The run's one event loop charges each receiver of a
-frame inline with the same float steps, and those two loops are the only
-writers of a node's charge time. Only the radio replaces its list of
-frames on the air, and only the run, which empties it when it ends. Only
-`World.push` and the run, which adds its pause, push onto the event queue,
-and only the run marks a world finished. The event loop reads the config
-only through the locals it binds before the loop. A redundancy proof's rate
-update and sleep draw build no `WeibullParams`, and every probe a node sends
-is the one `ProbeRequest` it was built with.
+frame inline with the same float steps, with no call. Only the radio replaces
+its list of frames on the air, and only the run, which empties it when it
+ends. The event loop reads the config only through the locals it binds before
+the loop. A redundancy proof's rate update and sleep draw build no
+`WeibullParams`, and every probe a node sends is the one `ProbeRequest` it was
+built with.
 
-Which code writes the radio and guard masks and the dead count is not pinned:
-`oracles.checked` recounts them before every event of the property tests.
+Which code writes the radio and guard masks, the dead count, a node's charge
+time, the event queue or a world's finished flag is not pinned by form: a
+wrong writer fails on results. `oracles.checked` re-derives the masks, every
+ledger and each frame's fate before every event of the property tests; the
+golden `calls` digests count each push through `World.push`; and a world
+marked finished too early refuses its next run call. The on-air list stays
+pinned: a fault that empties it at a node's death loses only the collisions
+of a frame still on the air at a later, overlapping broadcast to the same
+receiver. The random worlds of the property tests seldom build that, so with
+this fault every other test passed, the fate check included.
 """
 
 import ast
@@ -117,10 +123,6 @@ def _call(suffix: str):
     return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith(suffix)
 
 
-def _heap_read(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "_heap"
-
-
 @pytest.mark.parametrize(
     "fn", PER_EVENT, ids=[f"{fn.__module__.split('.')[1]}.{fn.__qualname__}" for fn in PER_EVENT]
 )
@@ -137,14 +139,6 @@ def test_the_sampler_node_loop_calls_only_deplete():
     assert _found(sample, _call("charge")) == ["_record_sample: world.charge(world.nodes, now)"]
 
 
-def test_only_the_charge_and_the_delivery_loop_write_a_charge_time():
-    writes = _writes({"last_charge_time"})
-    assert _package(writes) == ["engine.World.charge", "engine.run"]
-    assert len(_found(_tree(engine.World.charge), writes)) == 1
-    loop = _tree(engine.run)
-    assert len(_found(loop, writes)) == len(_found(loop, writes, _loop(".receivers"))) == 1
-
-
 def test_the_event_loop_only_passes_the_config_on():
     assert _found(_tree(engine.run), _config_use, _loop("heap")) == []
 
@@ -157,16 +151,6 @@ def test_the_delivery_receiver_loop_calls_no_charge():
 def test_only_the_radio_and_the_run_write_the_onair_list():
     expected = ["engine.World.__init__", "engine.World.broadcast", "engine.run"]
     assert _package(_writes({"_onair"})) == expected
-
-
-def test_only_push_and_the_run_push_onto_the_heap():
-    assert _package(_call("heappush")) == ["engine.World.push", "engine.run"]
-    # an alias of the queue is taken only where it is pushed onto, or made
-    assert _package(_heap_read) == ["engine.World.__init__", "engine.World.push", "engine.run"]
-
-
-def test_only_the_constructor_and_the_run_write_finished():
-    assert _package(_writes({"_finished"})) == ["engine.World.__init__", "engine.run"]
 
 
 CHECKS = {
@@ -199,17 +183,6 @@ CHECKS = {
             charge(nodes[rid], now)
             nodes[rid].spent_rx += world._deplete(nodes[rid], now)
         """, [": world.charge(nodes[rid], now)", ": charge(nodes[rid], now)"]),
-    "heap_pushes": (lambda node: _call("heappush")(node) or _heap_read(node), None, """
-        class World:
-            def push(self, item):
-                heapq.heappush(self._heap, item)
-        def run(world):
-            heap = world._heap
-            heappush(heap, 1)
-        def peek(world):
-            return world._heap[0]
-        """, ["World.push: heapq.heappush(self._heap, item)", "World.push: self._heap",
-              "run: world._heap", "run: heappush(heap, 1)", "peek: world._heap"]),
 }
 
 
