@@ -696,21 +696,6 @@ def test_a_paused_run_resumes_where_it_stopped():
         run(world, 150.0)
 
 
-def test_a_pause_keeps_the_frames_on_the_air():
-    # two probes 0.4 ms apart overlap at the guard between them: a pause
-    # between the two sends must not forget the first frame
-    def outcome(pause):
-        world = placed(small_config(duration=10.0), [(0.0, 0.0), (10.0, 0.0), (5.0, 0.0)],
-                       sleeps=[1.0, 1.0004, 1e9], guards=[2])
-        if pause:
-            run(world, 1.0004)
-        run(world)
-        return world.collisions, metrics_to_csv(world.result.rows)
-
-    assert outcome(pause=True) == outcome(pause=False)
-    assert outcome(pause=False)[0] > 0
-
-
 def test_an_injected_failure_equals_a_configured_one():
     cfg = small_config(n_nodes=40, seed=6, duration=300.0)
     world = deploy(cfg)
