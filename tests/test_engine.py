@@ -1,4 +1,9 @@
-"""Event kernel: deployment, radio semantics, energy ledger, failure injection."""
+"""Event kernel: config validation, deployment, neighbour sets, the radio's
+edges (airtime, the reply draws, the pruning gap), charges, failure injection
+and metrics. Each frame's fate (overlapping, abutting and out-of-order frames,
+the collision model off, sleeping and dead receivers) and each node's state, tx
+and rx spend are re-derived by `oracles.checked` on `test_properties.py`'s tick
+grid, its hand-built examples and the property runs."""
 
 import dataclasses
 import gc
@@ -239,6 +244,7 @@ def clamped(r_comm=20.0, **kw) -> SimConfig:
 
 @pytest.mark.parametrize("n,seed", [(100, 11), (200, 12), (400, 13)])
 def test_neighbor_sets_match_the_brute_force_oracle(n, seed):
+    # kept: checked runs stop at 120 nodes; a walk cut to 64 successors shows from 150 on
     world = deploy(SimConfig(n_nodes=n, seed=seed))
     assert world.neighbor_masks == brute_force_neighbors(world)
 
@@ -399,18 +405,6 @@ def test_lone_node_drains_to_death():
     assert node.spent_total == cfg.initial_energy
 
 
-def test_active_interval_drains_state_power_exactly():
-    # 10 s on guard at 15 mW is 0.15 J on the state ledger
-    cfg = small_config(n_nodes=1, duration=14.0)
-    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
-    run(world)
-    expected_state = cfg.p_sleep * 1.0 + cfg.p_probe_listen * 3.0 + cfg.p_active * 10.0
-    node = world.nodes[0]
-    assert node.spent_state == pytest.approx(expected_state, rel=1e-12)
-    assert node.spent_tx == pytest.approx(3 * cfg.e_tx, rel=1e-12)
-    assert node.spent_rx == 0.0
-
-
 # -- radio ---------------------------------------------------------------------
 
 
@@ -419,6 +413,7 @@ def test_airtime_of_default_frame():
 
 
 def test_configured_message_size_drives_airtime():
+    # kept: on the tick grid's whole-tick starts, 3.125- and 4-tick frames overlap and leave alike
     # 50-octet frames at 250 kbit/s occupy the air for 1.6 ms
     cfg = small_config(duration=10.0, msg_size=50)
     world = placed(cfg, [(0.0, 0.0), (5.0, 0.0)], guards=[0], probers=[1])
@@ -460,83 +455,6 @@ def test_a_reply_draw_of_zero_is_drawn_again():
                               cfg.lambda_max, cfg.t_sleep_min, cfg.t_sleep_max_scale)
     assert prober.state is NodeState.SLEEPING
     assert prober.wake_deadline == now + sleep
-
-
-def test_overlapping_frames_collide_destructively_at_common_receiver():
-    # senders out of each other's range, both audible at the middle node
-    world = placed(small_config(duration=6.0), [(0.0, 0.0), (30.0, 0.0), (15.0, 0.0)],
-                   sleeps=[90.0] * 3, guards=[0, 1], probers=[2])
-    a, b, c = world.nodes
-    world.broadcast(a, ProbeRequest(a.id), 5.0)
-    world.broadcast(b, ProbeRequest(b.id), 5.0004)
-    run(world)
-    assert world.collisions == 1
-    assert c.spent_rx == 0.0  # both frames died at the shared receiver
-
-
-def _three_guards_around_a_prober(**kw):
-    """Guards a, b and d, out of each other's range, all audible at prober c."""
-    cfg = small_config(duration=6.0, **kw)
-    positions = [(0.0, 0.0), (30.0, 0.0), (15.0, 0.0), (15.0, 15.0)]
-    return placed(cfg, positions, sleeps=[90.0] * 4, guards=[0, 1, 3], probers=[2])
-
-
-def test_abutting_frames_both_arrive():
-    world = _three_guards_around_a_prober()
-    cfg = world.config
-    a, b, c, _ = world.nodes
-    world.broadcast(a, ProbeRequest(a.id), 5.0)
-    world.broadcast(b, ProbeRequest(b.id), 5.0 + cfg.airtime)  # a's end
-    run(world)
-    assert world.collisions == 0
-    assert c.spent_rx == pytest.approx(2 * cfg.e_rx, rel=1e-12)
-
-
-def test_frame_overlapping_two_inflight_frames_collides_once():
-    world = _three_guards_around_a_prober()
-    a, b, c, d = world.nodes
-    # airtime 0.8 ms: a's [5.0, 5.0008] and b's [5.001, 5.0018] are apart at c,
-    # and d's [5.0006, 5.0014] overlaps both
-    world.broadcast(b, ProbeRequest(b.id), 5.001)
-    world.broadcast(a, ProbeRequest(a.id), 5.0)
-    assert world.collisions == 0
-    world.broadcast(d, ProbeRequest(d.id), 5.0006)
-    run(world)
-    assert world.collisions == 1
-    assert c.spent_rx == 0.0  # all three frames died at c
-
-
-def test_overlapping_frames_all_arrive_without_the_collision_model():
-    world = _three_guards_around_a_prober(collisions=False)
-    cfg = world.config
-    a, b, c, d = world.nodes
-    world.broadcast(a, ProbeRequest(a.id), 5.0)
-    world.broadcast(b, ProbeRequest(b.id), 5.0002)
-    world.broadcast(d, ProbeRequest(d.id), 5.0004)
-    run(world)
-    assert world.collisions == 0
-    assert c.spent_rx == pytest.approx(3 * cfg.e_rx, rel=1e-12)
-
-
-def test_sleeping_receiver_hears_nothing_and_never_collides():
-    cfg = small_config(duration=2.0)
-    world = placed(cfg, [(0.0, 0.0), (5.0, 0.0)], sleeps=[9.0, 9.5], guards=[0])
-    a, b = world.nodes
-    world.broadcast(a, ProbeRequest(a.id), 1.0)
-    run(world)
-    assert world.probes_received == 0
-    assert world.collisions == 0
-    assert b.spent_rx == 0.0
-
-
-def test_no_delivery_beyond_communication_radius():
-    cfg = small_config(duration=10.0)
-    world = placed(cfg, [(0.0, 0.0), (25.0, 0.0)], sleeps=[1e9, 1.0], guards=[0])
-    b = world.nodes[1]
-    run(world)  # b probes at 1 s; a is out of range so the request dies unheard
-    assert world.probes_sent == 3
-    assert world.probes_received == 0
-    assert b.state is NodeState.ACTIVE
 
 
 def test_dead_sender_cannot_broadcast():
@@ -863,18 +781,6 @@ def test_a_node_whose_budget_runs_out_asleep_dies_at_its_wake_without_probing():
 
 
 # -- energy conservation -----------------------------------------------------------
-
-
-def test_dead_nodes_stop_consuming():
-    cfg = small_config(n_nodes=1, duration=2000.0, initial_energy=0.02)
-    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
-    run(world)
-    node = world.nodes[0]
-    assert node.state is NodeState.DEAD
-    assert node.spent_total == cfg.initial_energy
-    # totals frozen across the remaining samples
-    trailing = {row.total_energy_consumed for row in world.result.rows if row.time > 100.0}
-    assert len(trailing) == 1
 
 
 def _charge_world():

@@ -1,10 +1,12 @@
 """Engine invariants over small random configs, both policies, with every
 finished and paused run under `oracles.checked`, which re-derives the state
 masks, the sample rows, every energy ledger and each frame's fate before each
-event; frames sent by hand on a tick grid under the same check, with pauses
-and deaths between sends, which hold the radio's list of frames on the air;
-paused runs against uninterrupted ones, false activations on a clean channel,
-and three self-tests of the check, one of them on the tick grid's examples."""
+event; frames sent by hand on a tick grid under the same check, with sleepers
+in range and pauses and deaths between sends, whose examples hold the radio's
+hand-built cases (overlapping, abutting and out-of-order frames, the collision
+model off, an asleep receiver) and its list of frames on the air; paused runs
+against uninterrupted ones, false activations on a clean channel, and three
+self-tests of the check, one of them on the tick grid's examples."""
 
 import heapq
 import math
@@ -80,6 +82,8 @@ radio_runs = st.fixed_dictionaries({
     "seed": st.integers(0, 2**16),
     "collisions": st.booleans(),
     "loss_probability": st.sampled_from([0.0, 0.3]),
+    # nodes left asleep: in range of the senders, with the radio off
+    "asleep": st.sets(st.integers(0, 7), max_size=3),
     # (sender, clock advance in ticks, start jitter in ticks, node killed before the send)
     "steps": st.lists(st.tuples(st.integers(0, 7), st.integers(0, 8), st.integers(0, 20),
                                 st.none() | st.integers(0, 7)), max_size=40),
@@ -88,42 +92,60 @@ radio_runs = st.fixed_dictionaries({
 # across a pause, and node 0's second frame its first across node 1's death.
 # A radio that forgets its frames on the air at a pause or at a death misses
 # the collision; the random cases seldom build either.
-SPOT = {"positions": [(20.0, 20.0)] * 3, "seed": 0, "collisions": True, "loss_probability": 0.0}
+SPOT = {"positions": [(20.0, 20.0)] * 3, "seed": 0, "collisions": True, "loss_probability": 0.0,
+        "asleep": set()}
 PAUSED = {**SPOT, "steps": [(0, 0, 0, None), (1, 1, 0, None)]}
 KILLED = {**SPOT, "steps": [(0, 0, 0, None), (0, 1, 0, 1)]}
+# Senders 0, 1 and 3 stand 30 m or 21.2 m apart, out of each other's 20 m
+# range, and node 2 hears them all. Node 1's frame overlaps node 0's at node 2,
+# or starts at its end; node 3's overlaps two frames that do not overlap each
+# other, sent out of order; the overlap without the collision model, and with
+# node 2 asleep.
+LINE = {**SPOT, "positions": [(0.0, 0.0), (30.0, 0.0), (15.0, 0.0), (15.0, 15.0)]}
+OVERLAP = {**LINE, "steps": [(0, 0, 0, None), (1, 0, 2, None)]}
+ABUT = {**LINE, "steps": [(0, 0, 0, None), (1, 0, 4, None)]}
+TWO_IN_FLIGHT = {**LINE, "steps": [(1, 0, 5, None), (0, 0, 0, None), (3, 0, 3, None)]}
+NO_MODEL = {**OVERLAP, "collisions": False}
+ASLEEP = {**OVERLAP, "asleep": {2}}
 
 
 def send_on_a_tick_grid(case):
     """Send each step's probe by hand under `checked`, after a pause and the
-    step's kill; a dead sender sends nothing. The run goes through
-    `engine.run`, which a self-test patches."""
+    step's kill; only a probing sender sends, so a dead or sleeping one sends
+    nothing. The run goes through `engine.run`, which a self-test patches."""
     positions = case["positions"]
-    cfg = SimConfig(n_nodes=len(positions), duration=1.0, seed=case["seed"],
+    n = len(positions)
+    cfg = SimConfig(n_nodes=n, duration=1.0, seed=case["seed"],
                     collisions=case["collisions"], loss_probability=case["loss_probability"],
                     msg_size=32, bitrate=2.0**18, field_width=40.0, field_height=40.0)
     assert cfg.airtime == 4 * TICK
-    world = placed(cfg, positions, probers=range(len(positions)))
+    world = placed(cfg, positions, probers=[i for i in range(n) if i not in case["asleep"]])
     with checked(world):
         for sender, advance, jitter, killed in case["steps"]:
             engine.run(world, world.clock + advance * TICK)
             if killed is not None:
-                engine.inject_failure(world, killed % len(positions))
-            node = world.nodes[sender % len(positions)]
-            if node.state is not NodeState.DEAD:
+                engine.inject_failure(world, killed % n)
+            node = world.nodes[sender % n]
+            if node.state is NodeState.PROBING:
                 world.broadcast(node, ProbeRequest(node.id), world.clock + jitter * TICK)
         engine.run(world)
 
 
-# 0.8-1.1 s, against 0.8-0.9 s before the kills and the two examples
-# (three runs each, 2-core x86-64 VM, CPython 3.11.7)
+# 1.2-1.9 s, against 1.2-1.6 s before the sleepers and the five radio examples
+# (three alternating runs each, 2-core x86-64 VM, CPython 3.11.7)
 @settings(max_examples=300, deadline=None)
 @given(radio_runs)
 @example(PAUSED)
 @example(KILLED)
+@example(OVERLAP)
+@example(ABUT)
+@example(TWO_IN_FLIGHT)
+@example(NO_MODEL)
+@example(ASLEEP)
 def test_broadcast_fates_hold_on_a_tick_grid(case):
     """Probes sent by hand between pauses and kills, each checked by
     `checked`'s fate rule: abutting, overlapping and out-of-order frames,
-    loss on and off."""
+    loss and the collision model on and off, receivers asleep and dead."""
     send_on_a_tick_grid(case)
 
 
