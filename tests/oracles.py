@@ -1,9 +1,11 @@
 """The brute-force oracles that several test files check against, one record
 of a run's outputs, one way to spy on calls, one way to place a test world, one
-hook on the run's pops, a check of the engine's books and of each frame's fate
-before every event, and a check of a finished run. Pytest collects nothing
-here; tests import it as `oracles`."""
+hook on the run's pops, a check before every event that re-derives the engine's
+books, each frame's fate, every column of each metrics row and the run logs, and
+a check of a finished run. Pytest collects nothing here; tests import it as
+`oracles`."""
 
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -18,13 +20,14 @@ from sentinelsim.analysis import (
     CSV_COLUMNS,
     CoverageGrid,
     MetricsRecord,
+    RecoveryEvent,
     coverage_fraction,
     format_csv_value,
     metrics_to_csv,
     overhead_report,
 )
 from sentinelsim.engine import EventKind, World, deploy
-from sentinelsim.protocol import NodeState
+from sentinelsim.protocol import NodeState, ProbeRequest
 
 
 def brute_force_fraction(positions, r_sense, width, height, resolution):
@@ -173,60 +176,104 @@ def popping(world, before):
 
 @contextmanager
 def checked(world):
-    """Check a deployed world's books before each event run in the block and at its end:
-    `recount`, the rows sampled since against it, and each node's state power times the time
-    to the event added to its re-derived state spend. A `World.broadcast` spy checks each
-    frame's receivers against the in-range radio-on recount and re-derives its fate. Loss
-    replays the generator: one draw per receiver, in id order, and no other draw. Collisions
-    keep one in-flight list per receiver: a frame leaves receiver j's list once a frame to j
-    starts at or after its end (the README's gap), and a frame that overlaps one still on
-    j's list kills both there and counts one collision. The spy checks the collision count's
-    rise at each broadcast, and each delivery pop checks the frame's dropped mask. At the end
-    each node that never ran out must match its re-derived `spent_state`, `spent_tx` (e_tx
-    per frame sent) and `spent_rx` (e_rx per frame heard by a radio-on receiver that did not
-    drop it) to 1e-9."""
-    cfg, nodes, rows = world.config, world.nodes, world.result.rows
+    """Check a deployed world before each event run in the block and at its end: `recount`,
+    every row sampled since against a row re-derived from it and from the traffic below, and
+    each node's state power times the time to the event added to its re-derived state spend.
+    A `World.broadcast` spy checks each frame's receivers against the in-range radio-on
+    recount and re-derives its fate. Loss replays the generator: one draw per receiver, in id
+    order, and no other draw. Collisions keep one in-flight list per receiver: a frame leaves
+    receiver j's list once a frame to j starts at or after its end (the README's gap), and a
+    frame that overlaps one still on j's list kills both there and counts one collision. Each
+    delivery must pop at its start plus `cfg.airtime`, with its re-derived dropped mask.
+    Traffic: sends count by message type at each broadcast. A delivery's hearers are its
+    radio-on receivers that did not drop it; once its event has run, a request counts as
+    received by a hearer on duty at the pop that is alive or sent its reply, and a reply by a
+    probing hearer still alive, or as a withdrawal by a hearer on duty that went to sleep.
+    Run logs: a node that went on duty since the last event activated at that event's time,
+    falsely when within delta (<=) of a guard that stood before; an `engine.inject_failure`
+    spy logs the hole of each live node it kills, covered at once by a guard within delta
+    (<=), and a hole closes at the first activation within delta (<=) of it. A sample's
+    conflict age is the largest, over pairs of guards closer than delta, of its time less the
+    pair's later activity start, or 0.0 with no such pair. At the end each node that never ran
+    out must match its re-derived `spent_state`, `spent_tx` (e_tx per frame sent) and
+    `spent_rx` (e_rx per frame heard by a radio-on receiver that did not drop it) to 1e-9."""
+    cfg, nodes, result = world.config, world.nodes, world.result
+    rows, delta = result.rows, cfg.delta
     power = dict(zip(NodeState, (cfg.p_sleep, cfg.p_probe_listen, cfg.p_active, 0.0)))
     spent, sent, heard = [0.0] * len(nodes), [0] * len(nodes), [0] * len(nodes)
     neighbours = brute_force_neighbors(world)
     grid = CoverageGrid(cfg.field_width, cfg.field_height, cfg.coverage_resolution)
-    last = {"time": world.clock, "rows": len(rows)}
+    last = {"time": world.clock, "rows": len(rows), "guards": recount(world)[1]}
     inflight = [[] for _ in nodes]  # per receiver: [start, end, dropped mask] of each frame
     fates = {}  # each frame with receivers -> its [start, end, dropped mask], until delivered
     draws = random.Random()  # the world's generator, replayed at each broadcast
+    traffic = {column.name: getattr(world, column.name) for column in fields(MetricsRecord)[7:]}
+    landed, replied = [], set()  # the last delivery's (hearer, state, request), reply senders
+    logs = {"activations": list(result.activations), "recoveries": list(result.recoveries),
+            "false_activation_ids": set(result.false_activation_ids)}
 
     def books(now):
-        assert now >= last["time"], "the clock ran back"
+        then, stood = last["time"], last["guards"]  # the last event's time and guards before it
+        assert now >= then, "the clock ran back"
         radio, guards, counts = recount(world)
-        for row in rows[last["rows"]:]:
-            assert row.time == last["time"]
-            states = [row.sleeping_count, row.probing_count, row.active_count, row.dead_count]
+        for node, state, request in landed:  # the event of the delivery has run
+            alive, on_duty = node.state is not NodeState.DEAD, state is NodeState.ACTIVE
+            if request:
+                traffic["probes_received"] += on_duty and (alive or node.id in replied)
+            else:
+                traffic["replies_received"] += state is NodeState.PROBING and alive
+                traffic["withdrawals"] += on_duty and node.state is NodeState.SLEEPING
+        landed.clear()
+        replied.clear()
+        joined = guards & ~stood
+        for node in [n for n in nodes if joined >> n.id & 1] if joined else ():
+            logs["activations"].append((then, node.id))
+            if any(math.dist(node.position, g.position) <= delta
+                   for g in nodes if stood >> g.id & 1):
+                logs["false_activation_ids"].add(node.id)
+            logs["recoveries"] = [
+                replace(hole, recovered_at=then) if hole.recovered_at is None
+                and math.dist(node.position, hole.position) <= delta else hole
+                for hole in logs["recoveries"]]
+        for name, derived in logs.items():
+            assert getattr(result, name) == derived, f"{name} at {then}"
+        for k in range(last["rows"], len(rows)):
+            actives = [node for node in nodes if guards >> node.id & 1]
             total = reduce(add, (node.spent_total for node in nodes), 0)  # as the sampler adds
-            assert states == counts and row.total_energy_consumed == total, row.time
-            actives = [node.position for node in nodes if guards >> node.id & 1]
-            assert row.coverage_fraction == coverage_fraction(actives, cfg.r_sense, grid), row.time
-            for counter in fields(row)[7:]:  # probes_sent on, which the world counts too
-                assert getattr(row, counter.name) == getattr(world, counter.name), row.time
-        dt, last["rows"], last["time"] = now - last["time"], len(rows), now
-        spent[:] = [s + power[node.state] * dt for s, node in zip(spent, nodes)]
+            coverage = coverage_fraction([n.position for n in actives], cfg.r_sense, grid)
+            derived = MetricsRecord(then, counts[2], counts[0], counts[1], counts[3], total,
+                                    coverage, **traffic)
+            diff = [(c, getattr(rows[k], c), getattr(derived, c)) for c in CSV_COLUMNS
+                    if getattr(rows[k], c) != getattr(derived, c)]
+            assert not diff, f"row at {then}: {diff}"
+            age = max((then - max(a.activity_start, b.activity_start)
+                       for i, a in enumerate(actives) for b in actives[i + 1:]
+                       if math.dist(a.position, b.position) < delta), default=0.0)
+            assert result.conflict_ages[k] == (then, age), f"conflict age at {then}"
+        last.update(time=now, rows=len(rows), guards=guards)
+        spent[:] = [s + power[node.state] * (now - then) for s, node in zip(spent, nodes)]
         return radio
 
     def before(entry):
         now, _, kind, payload = entry
         radio = books(now)
         if kind is EventKind.MESSAGE_DELIVERY:
-            assert payload.dropped == fates.pop(payload)[2], f"dropped mask of the frame at {now}"
+            start, end, dropped = fates.pop(payload)
+            assert now == end, f"frame sent at {start} delivered at {now}"
+            assert payload.dropped == dropped, f"dropped mask of the frame at {now}"
             for rid in payload.receivers:
-                heard[rid] += (radio & ~payload.dropped) >> rid & 1
+                if (radio & ~dropped) >> rid & 1:
+                    heard[rid] += 1
+                    landed.append((nodes[rid], nodes[rid].state,
+                                   isinstance(payload.msg, ProbeRequest)))
 
     def broadcast(self, sender, msg, start, original=World.broadcast):  # this world runs alone
         radio = [n.id for n in nodes if n.state in (NodeState.PROBING, NodeState.ACTIVE)]
-        collided = self.collisions
         draws.setstate(self.rng.getstate())
         frame = original(self, sender, msg, start)
         receivers = [j for j in radio if neighbours[sender.id] >> j & 1]
         assert frame.receivers == receivers, sender.id
-        fate, hits = [start, start + cfg.airtime, 0], 0
+        fate = [start, start + cfg.airtime, 0]
         for j in receivers:
             lost, live, hit = draws.random() < cfg.loss_probability, [fate], False
             for other in inflight[j]:
@@ -236,17 +283,32 @@ def checked(world):
                         other[2] |= 1 << j
                         hit = True
             inflight[j] = live
-            hits += hit
+            traffic["collisions"] += hit
             fate[2] |= (lost or hit) << j
         assert draws.getstate() == self.rng.getstate(), f"loss draws of node {sender.id}"
-        assert self.collisions - collided == hits, f"collision count at node {sender.id}"
         if receivers:
             fates[frame] = fate
         sent[sender.id] += 1
+        if isinstance(msg, ProbeRequest):
+            traffic["probes_sent"] += 1
+        else:
+            traffic["replies_sent"] += 1
+            replied.add(sender.id)
         return frame
+
+    def inject_failure(w, node_id, original=engine.inject_failure):
+        node = nodes[node_id]
+        live = node.state is not NodeState.DEAD
+        original(w, node_id)
+        if live:
+            covered = any(g.state is NodeState.ACTIVE and math.dist(g.position, node.position)
+                          <= delta for g in nodes)
+            hole = RecoveryEvent(node_id, w.clock, node.position, w.clock if covered else None)
+            logs["recoveries"].append(hole)
 
     with pytest.MonkeyPatch.context() as patch, popping(world, before):
         patch.setattr(World, "broadcast", broadcast)
+        patch.setattr(engine, "inject_failure", inject_failure)
         yield
     books(world.clock)
     for node in nodes:

@@ -67,16 +67,6 @@ def test_simple_overrides():
     assert spec.paired is False
 
 
-def test_unknown_key_reported_with_line_number():
-    with pytest.raises(ConfigError, match="line 3"):
-        parse_config("n_nodes = 10\n\nbogus_key = 5")
-
-
-def test_type_mismatch_reported_with_line_number():
-    with pytest.raises(ConfigError, match="line 1"):
-        parse_config("n_nodes = plenty")
-
-
 def test_energy_section():
     spec = parse_config("[energy]\np_active = 0.02\ninitial_energy = 500")
     assert spec.base.p_active == 0.02
@@ -346,6 +336,8 @@ def test_flags_override_file_keys_without_a_repeat_error(tmp_path):
         ("n_nodes = 10\nprotocol = flood", ["line 2", "protocol must be one of"]),
         ("n_nodes = 10\nfailure_injections = 1@soon", ["line 2", "bad failure injection"]),
         ("collisions = maybe", ["line 1", "'collisions'", "expected a boolean"]),
+        ("n_nodes = 10\n\nbogus_key = 5", ["line 3", "unknown key 'bogus_key'"]),
+        ("n_nodes = plenty", ["line 1", "bad value for 'n_nodes'"]),
     ],
     ids=[
         "invalid_base",
@@ -364,6 +356,8 @@ def test_flags_override_file_keys_without_a_repeat_error(tmp_path):
         "bad_protocol",
         "bad_failure_injection",
         "bad_boolean",
+        "unknown_key",
+        "type_mismatch",
     ],
 )
 def test_main_reports_config_errors(tmp_path, capsys, text, expected):
@@ -435,21 +429,6 @@ def test_energy_fields_sweep_like_any_other(tmp_path, capsys):
         assert final_dead("initial_energy_1000", proto) == 0, proto
 
 
-def test_spec_validation():
-    spec = ExperimentSpec()
-    spec.replications = 0
-    with pytest.raises(ValueError):
-        spec.validate()
-    spec = ExperimentSpec()
-    spec.sweep = [("not_a_field", [1])]
-    with pytest.raises(ValueError):
-        spec.validate()
-    # a spec built in code, not parsed, is held to the same one-line-per-key rule
-    spec = ExperimentSpec(sweep=[("n_nodes", [10, 20]), ("n_nodes", [30])])
-    with pytest.raises(ValueError, match="'n_nodes' is repeated"):
-        spec.validate()
-
-
 @pytest.mark.parametrize(
     "kw,match",
     [
@@ -462,6 +441,10 @@ def test_spec_validation():
         (dict(paired="no"), "^paired must be bool, got 'no'"),
         (dict(replications=True), "^replications must be int, got True"),
         (dict(replications=1.5), "^replications must be int, got 1.5"),
+        (dict(replications=0), "^replications must be >= 1, got 0"),
+        (dict(sweep=[("not_a_field", [1])]), "^cannot sweep over 'not_a_field'"),
+        # a spec built in code, not parsed, is held to the same one-line-per-key rule
+        (dict(sweep=[("n_nodes", [10, 20]), ("n_nodes", [30])]), "'n_nodes' is repeated"),
     ],
 )
 def test_code_built_spec_rejected(kw, match):

@@ -60,8 +60,8 @@ n_nodes = 20, 40
 """
 
 
-# The per-event check costs about 1.0 s over these five scenarios; sentinel (13.4 s checked),
-# peas (6.2 s) and failures (2.7 s) run unchecked (2-core x86-64 VM, CPython 3.11.7).
+# The per-event check costs about 1.1 s over these five scenarios; sentinel (13.9 s checked),
+# peas (6.6 s) and failures (3.0 s) run unchecked (2-core x86-64 VM, CPython 3.11.7).
 CHECKED = ("no_collisions", "single_probe_lossy", "dense_sampling", "depletion", "depletion_peas")
 
 

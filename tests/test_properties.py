@@ -1,22 +1,24 @@
 """Engine invariants over small random configs, both policies, with every
 finished and paused run under `oracles.checked`, which re-derives the state
-masks, the sample rows, every energy ledger and each frame's fate before each
-event; frames sent by hand on a tick grid under the same check, with sleepers
-in range and pauses and deaths between sends, whose examples hold the radio's
-hand-built cases (overlapping, abutting and out-of-order frames, the collision
-model off, an asleep receiver) and its list of frames on the air; paused runs
-against uninterrupted ones, false activations on a clean channel, and three
-self-tests of the check, one of them on the tick grid's examples."""
+masks, every column of each sample row, every energy ledger, each frame's fate
+and delivery time and the run logs before each event; frames sent by hand on a
+tick grid under the same check, with sleepers in range and pauses and deaths
+between sends, whose examples hold the radio's hand-built cases (overlapping,
+abutting and out-of-order frames, the collision model off, an asleep receiver)
+and its list of frames on the air; paused runs against uninterrupted ones,
+false activations on a clean channel, and three self-tests of the check, one of
+them on the tick grid's examples."""
 
 import heapq
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sentinelsim import engine
+from sentinelsim import engine, protocol
 from sentinelsim.engine import PROTOCOLS, SimConfig, World, deploy, run, simulate
 from sentinelsim.protocol import NodeState, ProbeRequest
 
@@ -46,14 +48,18 @@ def configs(draw):
     return cfg
 
 
-# The examples add three fixed runs of 60-120 nodes, each longer than most
-# generated ones. Under the per-event check the test takes 1.0-1.8 s and
-# the paused-run test 1.6-2.9 s (2-core x86-64 VM, CPython 3.11.7).
+# The examples add four fixed runs of 60-200 nodes, each longer than most
+# generated ones; on the 200-node field a neighbour walk cut short after 64
+# x-sorted successors misses receivers. Under the per-event check the test
+# takes 1.1-1.9 s and the paused-run test 1.7-2.7 s, against 1.0-1.6 s and
+# 1.9-2.3 s with three examples and no row or log re-derivation (four
+# alternating runs each, 2-core x86-64 VM, CPython 3.11.7).
 @settings(max_examples=200, deadline=None)
 @given(configs())
 @example(SimConfig(n_nodes=60, duration=800.0, seed=12))
 @example(SimConfig(n_nodes=80, duration=400.0, seed=9))
 @example(SimConfig(n_nodes=120, duration=600.0, seed=31))
+@example(SimConfig(n_nodes=200, duration=100.0, seed=12))
 def test_finished_run_keeps_the_engine_invariants(cfg):
     world = deploy(cfg)
     with checked(world):
@@ -131,8 +137,8 @@ def send_on_a_tick_grid(case):
         engine.run(world)
 
 
-# 1.2-1.9 s, against 1.2-1.6 s before the sleepers and the five radio examples
-# (three alternating runs each, 2-core x86-64 VM, CPython 3.11.7)
+# 0.9-1.5 s, against 1.0-1.3 s with no row or log re-derivation or delivery-time
+# check (four alternating runs each, 2-core x86-64 VM, CPython 3.11.7)
 @settings(max_examples=300, deadline=None)
 @given(radio_runs)
 @example(PAUSED)
@@ -196,11 +202,15 @@ def test_a_paused_run_equals_one_uninterrupted_run(cfg, data):
 
 def test_the_per_event_check_reports_a_miscount():
     # at 1 J nodes run out within the run, and one frame collides at four receivers
-    depleting = SimConfig(n_nodes=30, duration=300.0, seed=3, initial_energy=1.0)
-    world = deploy(depleting)
-    with checked(world):
-        run(world)  # the same run, unpatched, passes
-    sync, broadcast = World._sync_state, World.broadcast
+    depleting = lambda: deploy(SimConfig(n_nodes=30, duration=300.0, seed=3, initial_energy=1.0))
+    # a prober out of radio range of a guard exactly delta (20 m) away goes on duty at 4 s
+    exact = lambda: placed(SimConfig(r_comm=10.0, duration=10.0), [(0.0, 0.0), (20.0, 0.0)],
+                           sleeps=[1e9, 1.0], guards=[0])
+    for world in depleting(), exact():
+        with checked(world):
+            run(world)  # the same runs, unpatched, pass
+    sync, broadcast, enter = World._sync_state, World.broadcast, World._enter_active
+    withdrawal = protocol.on_withdrawal_check
 
     def once_per_frame(world, *args):
         collisions = world.collisions
@@ -208,16 +218,29 @@ def test_the_per_event_check_reports_a_miscount():
         world.collisions = min(world.collisions, collisions + 1)
         return frame
 
+    def counted_before_the_probing_test(node, *args):  # the loop's world counts a guard's too
+        world.replies_received += 1
+        return withdrawal(node, *args)
+
+    def strictly_closer(world, node, now):  # a false activation at < delta, not <=
+        cfg = world.config
+        world.config = replace(cfg, delta=math.nextafter(cfg.delta, 0.0))
+        enter(world, node, now)
+        world.config = cfg
+
     faults = {
         # no failure is injected, so this drops only _deplete's _sync_state
-        "recount": ("_sync_state", lambda world, node, prev, now: (
+        "recount": (depleting, World, "_sync_state", lambda world, node, prev, now: (
             node.state is NodeState.DEAD or sync(world, node, prev, now))),
-        "collision count": ("broadcast", once_per_frame),
+        "'collisions'": (depleting, World, "broadcast", once_per_frame),
+        "'replies_received'": (depleting, protocol, "on_withdrawal_check",
+                               counted_before_the_probing_test),
+        "false_activation_ids": (exact, World, "_enter_active", strictly_closer),
     }
-    for match, (name, fault) in faults.items():
-        world = deploy(depleting)
+    for match, (make, owner, name, fault) in faults.items():
+        world = make()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(World, name, fault)
+            patch.setattr(owner, name, fault)
             with pytest.raises(AssertionError, match=match), checked(world):
                 run(world)
 
@@ -239,7 +262,7 @@ def test_the_tick_grid_examples_catch_a_forgotten_onair_list():
                                      (PAUSED, engine, "run", forget_at_a_pause)]:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(owner, name, fault)
-            with pytest.raises(AssertionError, match="collision count"):
+            with pytest.raises(AssertionError, match="dropped mask"):
                 send_on_a_tick_grid(case)
 
 
