@@ -1,21 +1,22 @@
 """The brute-force oracles that several test files check against, one record
 of a run's outputs, one way to spy on calls, one way to place a test world, one
 hook on the run's pops, a check before every event that re-derives the engine's
-books, each frame's fate, every column of each metrics row and the run logs, and
-a check of a finished run. Pytest collects nothing here; tests import it as
-`oracles`."""
+books, each frame's fate, every timer and random draw, every column of each
+metrics row and the run logs, and a check of a finished run. Pytest collects
+nothing here; tests import it as `oracles`."""
 
+import heapq
 import math
-import random
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import pytest
 
-from sentinelsim import engine
+from sentinelsim import engine, protocol
 from sentinelsim.analysis import (
     CSV_COLUMNS,
     CoverageGrid,
@@ -139,7 +140,8 @@ def placed(config, positions, *, sleeps=None, guards=(), probers=()):
 
 def recount(world):
     """Assert that the radio and guard masks and the dead count match a recount of the node
-    states and that each ledger adds up within its budget; return the two masks and the counts."""
+    states and that each ledger adds up within its budget; return the radio, guard and sleeper
+    masks and the counts."""
     masks, budget = [0] * len(NodeState), world.config.initial_energy
     for node in world.nodes:
         masks[node.state] |= 1 << node.id
@@ -150,7 +152,7 @@ def recount(world):
     counts = [mask.bit_count() for mask in masks]
     kept, found = (world._radio_mask, world._guard_mask, world._dead), (radio, guards, counts[-1])
     assert kept == found, f"radio and guard masks and dead count {kept}, recount {found}"
-    return radio, guards, counts
+    return radio, guards, masks[NodeState.SLEEPING], counts
 
 
 @contextmanager
@@ -174,17 +176,34 @@ def popping(world, before):
     assert ends and ends[-1] == world.clock, "no run popped its events through the hook"
 
 
+def gap_kept(end, start, clock):  # the radio's rule: until a frame to j starts at its end or later
+    return end > start
+
+
+def exact(end, start, clock):  # the rule without the gap: until the clock passes the frame's end
+    return end > clock
+
+
 @contextmanager
-def checked(world):
-    """Check a deployed world before each event run in the block and at its end: `recount`,
-    every row sampled since against a row re-derived from it and from the traffic below, and
-    each node's state power times the time to the event added to its re-derived state spend.
-    A `World.broadcast` spy checks each frame's receivers against the in-range radio-on
-    recount and re-derives its fate. Loss replays the generator: one draw per receiver, in id
-    order, and no other draw. Collisions keep one in-flight list per receiver: a frame leaves
-    receiver j's list once a frame to j starts at or after its end (the README's gap), and a
-    frame that overlaps one still on j's list kills both there and counts one collision. Each
-    delivery must pop at its start plus `cfg.airtime`, with its re-derived dropped mask.
+def checked(world, rule=gap_kept):
+    """Check a world that has not run before each event run in the block and at its end:
+    `recount`, every row sampled since against a row re-derived from it and from the traffic
+    below, and each node's state power times the time to the event added to its re-derived
+    state spend. A `World.broadcast` spy checks each frame's receivers against the in-range
+    radio-on recount and re-derives its fate: a loss draw per receiver in id order, and per
+    receiver a list of frames in flight, on which `rule(end, start, clock)` keeps a frame
+    ending at `end` when a frame starting at `start` is sent at `clock`; a kept frame that
+    overlaps the new one kills both there and counts one collision. Each delivery must pop
+    at its start plus `cfg.airtime`, with its re-derived dropped mask.
+    Timers: each sleeper is owed a WAKE at its `wake_deadline` with its `timer_token`, each
+    probe a timer event sends a REPLY_TIMEOUT `t_w` later with the token its sender held on
+    the air (stale if that cost killed it), sample k a pop at `k * metrics_interval` under
+    `_queue_sample`'s end rule, and each failure a pop at its time. An owed event must pop
+    at its time; a stale timer must change nothing (no charge, draw or handler call).
+    Draws: the world's generator must have drawn as often as a replay in a second one of its
+    class after every event, and end in the same state. The replay draws each receiver's
+    loss; each guard's reply jitter if `reply_jitter > 0`, its reply starting at the clock
+    plus `reply_jitter` times it; each reply hearer's `r`, again while 0.0; nothing else.
     Traffic: sends count by message type at each broadcast. A delivery's hearers are its
     radio-on receivers that did not drop it; once its event has run, a request counts as
     received by a hearer on duty at the pop that is alive or sent its reply, and a reply by a
@@ -198,24 +217,63 @@ def checked(world):
     out must match its re-derived `spent_state`, `spent_tx` (e_tx per frame sent) and
     `spent_rx` (e_rx per frame heard by a radio-on receiver that did not drop it) to 1e-9."""
     cfg, nodes, result = world.config, world.nodes, world.result
-    rows, delta = result.rows, cfg.delta
+    rows, delta, jitter = result.rows, cfg.delta, cfg.reply_jitter
+    assert not rows and world.clock == 0.0, "checked takes a world that has not run"
     power = dict(zip(NodeState, (cfg.p_sleep, cfg.p_probe_listen, cfg.p_active, 0.0)))
     spent, sent, heard = [0.0] * len(nodes), [0] * len(nodes), [0] * len(nodes)
     neighbours = brute_force_neighbors(world)
     grid = CoverageGrid(cfg.field_width, cfg.field_height, cfg.coverage_resolution)
-    last = {"time": world.clock, "rows": len(rows), "guards": recount(world)[1]}
+    # no sleepers yet, so the first event's books owe each sleeper its wake
+    last = {"time": world.clock, "rows": len(rows), "guards": recount(world)[1], "sleepers": 0}
     inflight = [[] for _ in nodes]  # per receiver: [start, end, dropped mask] of each frame
     fates = {}  # each frame with receivers -> its [start, end, dropped mask], until delivered
-    draws = random.Random()  # the world's generator, replayed at each broadcast
     traffic = {column.name: getattr(world, column.name) for column in fields(MetricsRecord)[7:]}
     landed, replied = [], set()  # the last delivery's (hearer, state, request), reply senders
     logs = {"activations": list(result.activations), "recoveries": list(result.recoveries),
             "false_activation_ids": set(result.false_activation_ids)}
+    owed, due, timer_kinds = Counter(), [], (EventKind.WAKE, EventKind.REPLY_TIMEOUT)
+    timed, replies = [], {}  # a timer event's node and, if stale, its repr; reply starts
+    rng, tally = world.rng, [0, 0]  # the draws of the world's generator, and of its replay
+    draws = type(rng)()
+    draws.setstate(rng.getstate())
+
+    def owe(event):  # the (time, kind, payload) of an event that must pop
+        owed[event] += 1
+        heapq.heappush(due, event)
+
+    def sample(k):  # owed unless the closing sample takes its place
+        t, end, interval = k * cfg.metrics_interval, cfg.duration, cfg.metrics_interval
+        if end - t > 1e-9 * interval and format_csv_value(t) != format_csv_value(end):
+            owe((t, EventKind.METRICS_SAMPLE, k))
+
+    def stale(event):  # a timer whose node changed state since it was owed
+        return event[1] in timer_kinds and event[2][1] != nodes[event[2][0]].timer_token
+
+    def draw(source=draws.random, counter=1):
+        tally[counter] += 1
+        return source()
+
+    sample(0)
+    for nid, when in cfg.failure_injections:
+        owe((when, EventKind.FAILURE_INJECTION, nid))
 
     def books(now):
         then, stood = last["time"], last["guards"]  # the last event's time and guards before it
         assert now >= then, "the clock ran back"
-        radio, guards, counts = recount(world)
+        radio, guards, sleepers, counts = recount(world)
+        assert tally[0] == tally[1], f"draws by the event at {then}: {tally}"
+        if timed and timed[1]:
+            assert repr(timed[0]) == timed[1], \
+                f"stale timer of node {timed[0].id} at {then} changed it"
+        timed.clear()
+        new = sleepers & ~last["sleepers"]
+        while new:
+            node, new = nodes[(new & -new).bit_length() - 1], new & (new - 1)
+            owe((node.wake_deadline, EventKind.WAKE, (node.id, node.timer_token)))
+        while due and due[0][0] < now:
+            event = heapq.heappop(due)
+            assert not owed.pop(event, 0) or stale(event), \
+                f"{event[1].name} {event[2]} due at {event[0]}, not run by {now}"
         for node, state, request in landed:  # the event of the delivery has run
             alive, on_duty = node.state is not NodeState.DEAD, state is NodeState.ACTIVE
             if request:
@@ -250,13 +308,14 @@ def checked(world):
                        for i, a in enumerate(actives) for b in actives[i + 1:]
                        if math.dist(a.position, b.position) < delta), default=0.0)
             assert result.conflict_ages[k] == (then, age), f"conflict age at {then}"
-        last.update(time=now, rows=len(rows), guards=guards)
+        last.update(time=now, rows=len(rows), guards=guards, sleepers=sleepers)
         spent[:] = [s + power[node.state] * (now - then) for s, node in zip(spent, nodes)]
         return radio
 
     def before(entry):
         now, _, kind, payload = entry
         radio = books(now)
+        event = (now, kind, payload)
         if kind is EventKind.MESSAGE_DELIVERY:
             start, end, dropped = fates.pop(payload)
             assert now == end, f"frame sent at {start} delivered at {now}"
@@ -266,35 +325,57 @@ def checked(world):
                     heard[rid] += 1
                     landed.append((nodes[rid], nodes[rid].state,
                                    isinstance(payload.msg, ProbeRequest)))
+        elif kind in timer_kinds and stale(event):
+            timed[:] = [nodes[payload[0]], repr(nodes[payload[0]])]
+        elif kind is not EventKind.END_OF_RUN:
+            assert owed[event], f"{kind.name} {payload} ran at {now}, not owed"
+            owed[event] -= 1
+            timed[:] = [nodes[payload[0]], None] if kind in timer_kinds else []
+            if kind is EventKind.METRICS_SAMPLE:
+                sample(payload + 1)
 
     def broadcast(self, sender, msg, start, original=World.broadcast):  # this world runs alone
         radio = [n.id for n in nodes if n.state in (NodeState.PROBING, NodeState.ACTIVE)]
-        draws.setstate(self.rng.getstate())
+        clock, token, drawn = self.clock, sender.timer_token, replies.pop(sender.id, None)
         frame = original(self, sender, msg, start)
+        assert drawn is None or frame.start == drawn, \
+            f"reply of node {sender.id} starts at {frame.start}, drawn for {drawn}"
         receivers = [j for j in radio if neighbours[sender.id] >> j & 1]
         assert frame.receivers == receivers, sender.id
         fate = [start, start + cfg.airtime, 0]
         for j in receivers:
-            lost, live, hit = draws.random() < cfg.loss_probability, [fate], False
+            lost, live, hit = draw() < cfg.loss_probability, [fate], False
             for other in inflight[j]:
-                if other[1] > start:
+                if rule(other[1], start, clock):
                     live.append(other)
-                    if cfg.collisions and other[0] < fate[1]:
+                    if cfg.collisions and other[1] > start and other[0] < fate[1]:
                         other[2] |= 1 << j
                         hit = True
             inflight[j] = live
             traffic["collisions"] += hit
             fate[2] |= (lost or hit) << j
-        assert draws.getstate() == self.rng.getstate(), f"loss draws of node {sender.id}"
         if receivers:
             fates[frame] = fate
         sent[sender.id] += 1
         if isinstance(msg, ProbeRequest):
             traffic["probes_sent"] += 1
+            if timed and timed[0] is sender:  # sent by its timer event, not by hand
+                owe((clock + cfg.t_w, EventKind.REPLY_TIMEOUT, (sender.id, token)))
         else:
             traffic["replies_sent"] += 1
             replied.add(sender.id)
         return frame
+
+    def drawn(name, node, msg, *args):  # a guard's reply jitter, or a reply hearer's r
+        if name == "on_probe_request":
+            replies[node.id] = start = world.clock + jitter * draw() if jitter else world.clock
+            assert args[0] == start, \
+                f"reply of node {node.id} starts at {args[0]}, drawn for {start}"
+        else:
+            r = draw()
+            while r == 0.0:
+                r = draw()
+            assert args[-1] == r, f"r of node {node.id} at {args[-2]}: {args[-1]}, drawn {r}"
 
     def inject_failure(w, node_id, original=engine.inject_failure):
         node = nodes[node_id]
@@ -306,11 +387,15 @@ def checked(world):
             hole = RecoveryEvent(node_id, w.clock, node.position, w.clock if covered else None)
             logs["recoveries"].append(hole)
 
-    with pytest.MonkeyPatch.context() as patch, popping(world, before):
+    with pytest.MonkeyPatch.context() as patch, popping(world, before), \
+            spying(protocol, ["on_probe_request"], drawn), \
+            spying(world.policy, ["on_probe_reply", "on_withdrawal_check"], drawn):
+        patch.setitem(vars(rng), "random", partial(draw, rng.random, 0))  # counts its draws
         patch.setattr(World, "broadcast", broadcast)
         patch.setattr(engine, "inject_failure", inject_failure)
         yield
     books(world.clock)
+    assert draws.getstate() == rng.getstate(), "the world's generator drew outside random()"
     for node in nodes:
         if node.spent_total < cfg.initial_energy:
             unbilled = power[node.state] * (world.clock - node.last_charge_time)

@@ -1,11 +1,9 @@
 """Event kernel: config validation, deployment, neighbour sets, the radio's
-edges (airtime, the reply draws, the pruning gap), charges, failure injection
-and metrics. Each frame's fate (overlapping, abutting and out-of-order frames,
-the collision model off, sleeping and dead receivers) and delivery time, each
-node's state, tx and rx spend, every column of each metrics row and the run logs
-(activations, false activations, holes and conflict ages) are re-derived by
-`oracles.checked` on `test_properties.py`'s tick grid, its hand-built examples
-and the property runs."""
+edges (airtime, a reply draw of 0.0, the pruning gap and the exact fate rule it
+fails), charges, failure injection and metrics. What `oracles.checked`
+re-derives before each event of `test_properties.py`'s runs (each frame's fate,
+every timer and random draw, every ledger, row column and run log) is not
+pinned here case by case."""
 
 import dataclasses
 import gc
@@ -14,6 +12,7 @@ import random
 import sys
 import tracemalloc
 import typing
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -34,10 +33,10 @@ from sentinelsim.engine import (
     simulate,
 )
 from sentinelsim.protocol import NodeState, ProbeReply, ProbeRequest, ProtocolError
-from sentinelsim.scheduling import adapt_and_draw
 
 from golden_outputs import SCENARIOS
-from oracles import brute_force_neighbors, cell_by_cell_csv, place, placed, popping, spying
+from oracles import (brute_force_neighbors, cell_by_cell_csv, checked, exact, placed,
+                     popping, spying)
 
 
 def small_config(**kw):
@@ -385,17 +384,6 @@ def test_duration_zero_produces_single_row_and_no_activity():
 # -- single-node lifecycle --------------------------------------------------------
 
 
-def test_lone_node_probes_k_times_then_stands_guard():
-    cfg = small_config(n_nodes=1, duration=50.0)
-    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[2.0])
-    result = run(world)
-    node = world.nodes[0]
-    assert node.state is NodeState.ACTIVE
-    assert world.probes_sent == 3
-    assert result.activations == [(5.0, 0)]  # wake at 2 + three 1 s windows
-    assert result.false_activation_ids == set()
-
-
 def test_lone_node_drains_to_death():
     # active draw 15 mW: a 0.01 J budget above the probing cost dies ~0.667 s in
     budget = 0.0108 + 3 * 50e-6 + 2e-6 * 3
@@ -414,40 +402,22 @@ def test_airtime_of_default_frame():
     assert SimConfig().airtime == pytest.approx(0.0008, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 11, 23, 2**31 - 1])
-@pytest.mark.parametrize("jitter", [1e-6, 0.005, 0.3, 0.999])
-def test_reply_jitter_is_uniform_from_one_draw(seed, jitter):
-    # delivery draws a reply's jitter as jitter * random(): the same float as
-    # Random.uniform(0.0, jitter), from the same single draw
-    scaled, uniform = random.Random(seed), random.Random(seed)
-    for _ in range(200):
-        assert jitter * scaled.random() == uniform.uniform(0.0, jitter)
-    assert scaled.getstate() == uniform.getstate()
-
-
 def test_a_reply_draw_of_zero_is_drawn_again():
-    # A proof's Weibull draw needs r on (0, 1): random() can return 0.0, and
-    # delivery draws again. In order the draws are the probe's loss draw, the
-    # reply's loss draw (no jitter draw at zero jitter), then the reply's r.
-    class ThirdDrawZero(random.Random):
+    # Kept for the one fault that no other test meets, as no real generator draws 0.0:
+    # delivery handing a reply's r of 0.0 on, undrawn. The draws are the probe's and the
+    # reply's loss draws (no jitter draw at zero jitter), then the reply's r: seed 3's
+    # third, which reads 0.0 here.
+    class ZeroBelowHalf(random.Random):
         def random(self):
-            values.append(0.0 if len(values) == 2 else super().random())
-            return values[-1]
+            r = super().random()
+            return r if r >= 0.5 else 0.0
 
-    values, replies = [], []
     world = placed(small_config(duration=2.0, reply_jitter=0.0), [(0.0, 0.0), (5.0, 0.0)],
                    sleeps=[1e9, 1.0], guards=[0])
-    world.rng = ThirdDrawZero(3)
-    with spying(protocol_mod, ("on_probe_reply",), lambda name, *args: replies.append(args)):
+    world.rng = ZeroBelowHalf(3)
+    with checked(world):
         run(world)
-    assert len(values) == 4
-    prober = world.nodes[1]
-    ((node, _, cfg, now, r),) = replies
-    assert node is prober and r == values[3]
-    _, sleep = adapt_and_draw(cfg.lambda_init, now, cfg.beta, values[3], cfg.lambda_min,
-                              cfg.lambda_max, cfg.t_sleep_min, cfg.t_sleep_max_scale)
-    assert prober.state is NodeState.SLEEPING
-    assert prober.wake_deadline == now + sleep
+    assert world.nodes[1].state is NodeState.SLEEPING
 
 
 def test_dead_sender_cannot_broadcast():
@@ -459,6 +429,20 @@ def test_dead_sender_cannot_broadcast():
         world.broadcast(node, ProbeRequest(0), 0.5)
 
 
+def out_of_order_replies(rule=None):
+    """Guards A, B and C put replies on the air out of start order around a prober: C's
+    [1.001, 1.0018] overlaps B's [1.0015, 1.0023] there, A's starts at 1.004. Sent and run,
+    under `checked` with the fate rule `rule` unless it is None; returns the frames by id."""
+    world = placed(small_config(duration=10.0), [(25.0, 25.0), (30.0, 25.0), (20.0, 25.0),
+                                                 (25.0, 30.0)], guards=[1, 2, 3], probers=[0])
+    _, a, b, c = world.nodes
+    with checked(world, rule) if rule else nullcontext():
+        frames = {g.id: world.broadcast(g, ProbeReply(g.id, g.position, 0.0), t)
+                  for g, t in ((c, 1.001), (a, 1.004), (b, 1.0015))}
+        run(world)
+    return frames
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -467,18 +451,14 @@ def test_dead_sender_cannot_broadcast():
     "that an earlier reply, put on the air after it, still overlaps",
 )
 def test_out_of_order_reply_starts_still_collide_at_the_prober():
-    positions = [(25.0, 25.0), (30.0, 25.0), (20.0, 25.0), (25.0, 30.0)]
-    world = placed(small_config(duration=10.0), positions, probers=[0])
-    prober, a, b, c = world.nodes
-    for guard in (a, b, c):  # the guards after the prober
-        place(world, guard, NodeState.ACTIVE)
-    # airtime 0.8 ms: C's frame [1.001, 1.0018] overlaps B's [1.0015, 1.0023]
-    frames = {
-        guard.id: world.broadcast(guard, ProbeReply(guard.id, guard.position, 0.0), start)
-        for guard, start in ((c, 1.001), (a, 1.004), (b, 1.0015))
-    }
-    assert frames[c.id].dropped >> prober.id & 1
-    assert frames[b.id].dropped >> prober.id & 1
+    frames = out_of_order_replies()
+    assert frames[3].dropped & 1 and frames[2].dropped & 1  # C's and B's, at the prober
+
+
+def test_out_of_order_reply_starts_fail_the_exact_fate_rule():
+    # the exact rule has B's frame collide with C's at A and at the prober, the radio at A only
+    with pytest.raises(AssertionError, match=r"^row at 0.0: \[\('collisions', 1, 2\)\]$"):
+        out_of_order_replies(exact)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="known gap: depletion is lazy, "
@@ -709,45 +689,6 @@ def test_a_guard_placed_by_set_state_answers_with_its_age(monkeypatch):
     assert prober.state is NodeState.SLEEPING
 
 
-def test_a_state_change_voids_the_pending_wake():
-    # the move to PROBING voids the deploy-time wake at 10 s; sent to sleep at
-    # 1 s, the node wakes at its new deadline, 5 s, probes alone for three 1 s
-    # windows and goes on duty at 8 s
-    cfg = small_config(n_nodes=1, duration=20.0)
-    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[10.0])
-    node = world.nodes[0]
-    world.set_state(node, NodeState.PROBING, 0.0)
-    node.wake_deadline = 5.0
-    world.set_state(node, NodeState.SLEEPING, 1.0)
-    run(world)
-    assert world.result.activations == [(8.0, node.id)]
-    assert world.probes_sent == 3
-    assert node.state is NodeState.ACTIVE
-
-
-def test_a_guard_placed_by_set_state_is_never_woken():
-    world = placed(small_config(duration=20.0), [(25.0, 25.0)], sleeps=[2.0], guards=[0])
-    node = world.nodes[0]
-    run(world)  # the deploy-time wake at 2 s is void
-    assert world.result.activations == [(0.0, node.id)]
-    assert world.probes_sent == 0
-    assert node.state is NodeState.ACTIVE
-
-
-def test_a_probe_that_spends_the_senders_budget_voids_its_reply_timeout():
-    # 1 s asleep costs 3 uJ of the 13 uJ budget, and the 50 uJ probe the rest:
-    # the node dies as it transmits, and its timeout at 2 s never fires
-    cfg = small_config(n_nodes=1, duration=10.0, initial_energy=1.3e-5)
-    world = deploy(cfg, positions=[(25.0, 25.0)], initial_sleeps=[1.0])
-    charged_at = []
-    with spying(World, ["charge"], lambda name, world, nodes, now: charged_at.append(now)):
-        run(world)
-    assert world.probes_sent == 1
-    assert world.nodes[0].state is NodeState.DEAD
-    # the samples at 0 and 10 s and the wake at 1 s: nothing charges at the 2 s timeout
-    assert charged_at == [0.0, 1.0, 10.0]
-
-
 def test_a_node_whose_budget_runs_out_asleep_dies_at_its_wake_without_probing():
     # 1 s asleep costs 3 uJ, more than the 1 uJ budget: the wake's charge kills it
     cfg = small_config(n_nodes=1, duration=10.0, initial_energy=1e-6)
@@ -809,11 +750,6 @@ def test_a_charge_of_no_nodes_totals_the_int_zero(nodes):
 
 
 # -- metrics -------------------------------------------------------------------
-
-
-def test_metrics_are_sampled_on_the_configured_grid():
-    result = simulate(SimConfig(n_nodes=5, duration=100.0, seed=2, metrics_interval=25.0))
-    assert [row.time for row in result.rows] == [0.0, 25.0, 50.0, 75.0, 100.0]
 
 
 # the last two end within the CSV's 6 decimals of a sample time

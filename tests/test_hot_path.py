@@ -17,15 +17,14 @@ frame inline with the same float steps, with no call. The event loop reads
 the config only through the locals it binds before the loop. Every probe a
 node sends is the one `ProbeRequest` it was built with.
 
-What spans functions is held by results, not by form. `oracles.checked`
-re-derives the radio and guard masks, the dead count, every ledger, each
-frame's fate, every row column and the run logs before every event of the
-property tests, and their tick grid
-kills nodes and pauses between sends, so a radio that forgets its frames on
-the air at a death or a pause miscounts a collision there. The golden `calls`
-digests count each push through `World.push`, and a world marked finished
-too early refuses its next run call. A redundancy proof's rate update and
-sleep draw build no `WeibullParams`: a sentinel run counts the builds.
+What spans functions is held by results, not by form: `oracles.checked`
+re-derives what the engine decides before every event of the property tests,
+whose tick grid kills nodes and pauses between sends, so a radio that forgets
+its frames on the air at a death or a pause miscounts a collision there. The
+golden `calls` digests count each push through `World.push`, and a world
+marked finished too early refuses its next run call. A redundancy proof's rate
+update and sleep draw build no `WeibullParams`: a sentinel run counts the
+builds.
 """
 
 import ast

@@ -1,16 +1,18 @@
-"""Engine invariants over small random configs, both policies, with every
-finished and paused run under `oracles.checked`, which re-derives the state
-masks, every column of each sample row, every energy ledger, each frame's fate
-and delivery time and the run logs before each event; frames sent by hand on a
-tick grid under the same check, with sleepers in range and pauses and deaths
+"""Engine invariants under `oracles.checked`, which re-derives the state masks,
+every column of each sample row, every energy ledger, each frame's fate and
+delivery time, every timer and random draw and the run logs before each event:
+over small random configs, both policies, finished and paused runs; over frames
+sent by hand on a tick grid, with sleepers in range and pauses and deaths
 between sends, whose examples hold the radio's hand-built cases (overlapping,
 abutting and out-of-order frames, the collision model off, an asleep receiver)
-and its list of frames on the air; paused runs against uninterrupted ones,
-false activations on a clean channel, and three self-tests of the check, one of
-them on the tick grid's examples."""
+and its list of frames on the air; under the exact fate rule without reply
+jitter; and over the named workload configs for 600 s. Also paused runs against
+uninterrupted ones, false activations on a clean channel, and three self-tests
+of the check, one of them on the tick grid's examples."""
 
 import heapq
 import math
+import random
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -19,10 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentinelsim import engine, protocol
-from sentinelsim.engine import PROTOCOLS, SimConfig, World, deploy, run, simulate
+from sentinelsim.engine import PROTOCOLS, EventKind, SimConfig, World, deploy, run, simulate
 from sentinelsim.protocol import NodeState, ProbeRequest
 
-from oracles import check_finished, checked, placed, run_texts, spying
+from oracles import check_finished, checked, exact, placed, run_texts, spying
 
 plain_configs = st.builds(
     SimConfig,
@@ -50,16 +52,18 @@ def configs(draw):
 
 # The examples add four fixed runs of 60-200 nodes, each longer than most
 # generated ones; on the 200-node field a neighbour walk cut short after 64
-# x-sorted successors misses receivers. Under the per-event check the test
-# takes 1.1-1.9 s and the paused-run test 1.7-2.7 s, against 1.0-1.6 s and
-# 1.9-2.3 s with three examples and no row or log re-derivation (four
-# alternating runs each, 2-core x86-64 VM, CPython 3.11.7).
+# x-sorted successors misses receivers. In the fifth a lone node's first probe
+# spends its budget, which voids the probe's reply timeout. Under the per-event
+# check the test takes 1.1-1.9 s and the paused-run test 1.7-2.7 s, against
+# 1.0-1.6 s and 1.9-2.3 s with three examples and no row or log re-derivation
+# (four alternating runs each, 2-core x86-64 VM, CPython 3.11.7).
 @settings(max_examples=200, deadline=None)
 @given(configs())
 @example(SimConfig(n_nodes=60, duration=800.0, seed=12))
 @example(SimConfig(n_nodes=80, duration=400.0, seed=9))
 @example(SimConfig(n_nodes=120, duration=600.0, seed=31))
 @example(SimConfig(n_nodes=200, duration=100.0, seed=12))
+@example(SimConfig(n_nodes=1, duration=10.0, ts_initial=1.0, initial_energy=1e-5))
 def test_finished_run_keeps_the_engine_invariants(cfg):
     world = deploy(cfg)
     with checked(world):
@@ -204,13 +208,13 @@ def test_the_per_event_check_reports_a_miscount():
     # at 1 J nodes run out within the run, and one frame collides at four receivers
     depleting = lambda: deploy(SimConfig(n_nodes=30, duration=300.0, seed=3, initial_energy=1.0))
     # a prober out of radio range of a guard exactly delta (20 m) away goes on duty at 4 s
-    exact = lambda: placed(SimConfig(r_comm=10.0, duration=10.0), [(0.0, 0.0), (20.0, 0.0)],
-                           sleeps=[1e9, 1.0], guards=[0])
-    for world in depleting(), exact():
+    at_delta = lambda: placed(SimConfig(r_comm=10.0, duration=10.0), [(0.0, 0.0), (20.0, 0.0)],
+                              sleeps=[1e9, 1.0], guards=[0])
+    for world in depleting(), at_delta():
         with checked(world):
             run(world)  # the same runs, unpatched, pass
     sync, broadcast, enter = World._sync_state, World.broadcast, World._enter_active
-    withdrawal = protocol.on_withdrawal_check
+    withdrawal, push = protocol.on_withdrawal_check, World.push
 
     def once_per_frame(world, *args):
         collisions = world.collisions
@@ -235,7 +239,16 @@ def test_the_per_event_check_reports_a_miscount():
         "'collisions'": (depleting, World, "broadcast", once_per_frame),
         "'replies_received'": (depleting, protocol, "on_withdrawal_check",
                                counted_before_the_probing_test),
-        "false_activation_ids": (exact, World, "_enter_active", strictly_closer),
+        "false_activation_ids": (at_delta, World, "_enter_active", strictly_closer),
+        # the faults below sit beneath the check's spies, so the check sees the faulted
+        # engine: a WAKE 0.25 s late, a REPLY_TIMEOUT at now + 1.5 * t_w, a halved jitter
+        "^WAKE": (depleting, World, "push", lambda world, t, kind, *rest: push(
+            world, t + 0.25 if kind is EventKind.WAKE else t, kind, *rest)),
+        "^REPLY_TIMEOUT": (depleting, World, "push", lambda world, t, kind, *rest: push(
+            world, t + 0.5 * (t - world.clock) if kind is EventKind.REPLY_TIMEOUT else t,
+            kind, *rest)),
+        "drawn for": (depleting, World, "broadcast", lambda world, sender, msg, t: broadcast(
+            world, sender, msg, world.clock + 0.5 * (t - world.clock))),
     }
     for match, (make, owner, name, fault) in faults.items():
         world = make()
@@ -243,6 +256,39 @@ def test_the_per_event_check_reports_a_miscount():
             patch.setattr(owner, name, fault)
             with pytest.raises(AssertionError, match=match), checked(world):
                 run(world)
+
+
+# Without reply jitter every frame goes on the air at the clock, in start order, so the
+# radio's gap cannot arise. 0.4-0.9 s for 100 examples (2-core x86-64 VM, CPython 3.11.7).
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.sampled_from([0.0, 0.3]))
+def test_frames_sent_at_the_clock_meet_the_exact_fate_rule(cfg, loss):
+    world = deploy(replace(cfg, reply_jitter=0.0, loss_probability=loss))
+    with checked(world, exact):
+        run(world)
+
+
+# The paired and dense workload configs that `benchmark/workloads.py` builds, at
+# seed 11 and cut to 600 s: dense_400 kills 20 seeded nodes at 1/6 and 4/6 of the run.
+VICTIMS = random.Random(11).sample(range(400), 20)
+WORKLOADS = {
+    "paired_default_sentinel": SimConfig(n_nodes=200, duration=600.0, seed=11),
+    "paired_default_peas": SimConfig(n_nodes=200, duration=600.0, seed=11, protocol="peas"),
+    "dense_400": SimConfig(n_nodes=400, duration=600.0, seed=11, failure_injections=[
+        (nid, 100.0 if i < 10 else 400.0) for i, nid in enumerate(VICTIMS)]),
+}
+
+
+# 0.3-0.5, 1.5-2.4 and 0.9-1.6 s, 2.7-4.4 s in all over five runs, against 0.3,
+# 1.8-2.0 and 1.0-1.5 s before the timer and draw checks (2-core x86-64 VM,
+# CPython 3.11.7); over 2 s, so the quick lane skips it.
+@pytest.mark.slow
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_the_named_workloads_keep_the_engine_invariants(name):
+    world = deploy(WORKLOADS[name])
+    with checked(world):
+        run(world)
+    check_finished(world)
 
 
 def test_the_tick_grid_examples_catch_a_forgotten_onair_list():
