@@ -108,8 +108,13 @@ class SimConfig:
             if not _fits(value, kind):
                 expected = kind if typing.get_origin(kind) else kind.__name__
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if isinstance(value, numbers.Real):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int past the float range
+                    finite = False
+                if not finite:
+                    raise ValueError(f"{name} must be finite, got {value}")
         for name in _POSITIVE:  # None (lambda_peas, peas_probing_range) means derived
             value = getattr(self, name)
             if value is not None and value <= 0:

@@ -257,6 +257,7 @@ def test_protocol_flag_overrides_the_file(tmp_path, capsys, in_file, flag, paire
         ("--duration", "soon", ["--duration: bad value for 'duration'"]),
         ("--protocol", "flood", ["--protocol: protocol must be one of", "'flood'"]),
         ("--nodes", "-5", ["n_nodes"]),
+        pytest.param("--seed", "9" * 401, ["seed must be finite"], id="--seed-401_digits"),
     ],
 )
 def test_main_rejects_a_bad_flag_value(tmp_path, capsys, flag, value, expected):
@@ -338,6 +339,7 @@ def test_flags_override_file_keys_without_a_repeat_error(tmp_path):
         ("collisions = maybe", ["line 1", "'collisions'", "expected a boolean"]),
         ("n_nodes = 10\n\nbogus_key = 5", ["line 3", "unknown key 'bogus_key'"]),
         ("n_nodes = plenty", ["line 1", "bad value for 'n_nodes'"]),
+        ("n_nodes = " + "9" * 401, ["n_nodes must be finite"]),
     ],
     ids=[
         "invalid_base",
@@ -358,6 +360,7 @@ def test_flags_override_file_keys_without_a_repeat_error(tmp_path):
         "bad_boolean",
         "unknown_key",
         "type_mismatch",
+        "int_past_the_float_range",
     ],
 )
 def test_main_reports_config_errors(tmp_path, capsys, text, expected):

@@ -4,10 +4,11 @@ reads, and no test module keeps any module-level name that nothing reads.
 No linter is part of the toolchain, so a leftover import or binding, such as
 an enum member bound once for handlers that no longer use it, or a test
 helper that no test calls any more, fails here. A package module's public
-names are its interface, so only its private names are checked; nothing
-imports a test module but `oracles.py`, so each of its names must be read
-in the module, by pytest (a test or a fixture), or, for `oracles.py`, by a
-test module that imports it.
+names are its interface, so only its private names are checked; test
+modules import only `oracles.py` and `test_properties.configs`, which
+`test_properties.py` reads itself, so each name must be read in the module,
+by pytest (a test or a fixture), or, for `oracles.py`, by a test module that
+imports it.
 """
 
 import ast

@@ -100,6 +100,11 @@ INVALID_CONFIGS = [
     (dict(initial_energy=0.0), "^initial_energy must be positive"),
     (dict(p_active=math.nan), "^p_active must be finite"),
     (dict(initial_energy=math.inf), "^initial_energy must be finite"),
+    # an int past the float range: math.isfinite raised OverflowError
+    (dict(n_nodes=10**400), "^n_nodes must be finite"),  # else deploy would loop over them
+    (dict(k_probes=10**400), "^k_probes must be finite"),
+    (dict(seed=-(10**400)), "^seed must be finite"),
+    (dict(duration=10**400), "^duration must be finite"),
 ]
 
 
@@ -770,10 +775,14 @@ def test_sample_times_do_not_drift_into_a_duplicate_final_row(interval, duration
 
 
 def test_a_sample_that_prints_apart_from_the_end_keeps_its_row():
-    # the CSV prints 6 decimals, so 10.0 and 10.0000006 are two distinct rows
-    rows = simulate(SimConfig(n_nodes=0, duration=10.0000006, metrics_interval=1.0)).rows
-    csv_times = [line.split(",")[0] for line in metrics_to_csv(rows).splitlines()[1:]]
-    assert csv_times[-3:] == ["9.000000", "10.000000", "10.000001"]
+    # the CSV prints 6 decimals, so 10.0 and 10.0000006 are two distinct rows; the
+    # same run at half the time scale ends at 5.0000003, which prints as its 5 s
+    # sample does, so that sample gives way: the one exception to the time relation
+    for duration, interval, last in [(10.0000006, 1.0, ["9.000000", "10.000000", "10.000001"]),
+                                     (5.0000003, 0.5, ["4.000000", "4.500000", "5.000000"])]:
+        rows = simulate(SimConfig(n_nodes=0, duration=duration, metrics_interval=interval)).rows
+        csv_times = [line.split(",")[0] for line in metrics_to_csv(rows).splitlines()[1:]]
+        assert csv_times[-3:] == last
 
 
 def test_csv_formats_each_column_by_its_annotation():
